@@ -27,7 +27,7 @@ SLO_LABEL ?= slo
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo crash-smoke fuzz-smoke staticcheck govulncheck
+.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
 
 all: build test
 
@@ -81,20 +81,14 @@ smoke:
 slo:
 	BENCH_JSON=$(BENCH_JSON) BENCH_LABEL=$(SLO_LABEL) bash scripts/slo_flexwattsd.sh
 
-# Crash-safety smoke: boot flexwattsd with a persistent cache dir, drive
-# cached load, SIGKILL it mid-write, corrupt a log byte, restart over the
-# same directory, and assert warm recovery (loaded records, warm hits,
-# byte-identical responses, zero 5xx).
-crash-smoke:
-	bash scripts/crashsafe_flexwattsd.sh
-
-# Short-budget fuzz runs over the two untrusted input surfaces: the
-# on-disk cache record decoder and the evaluate request decoder. -fuzz
-# accepts one package at a time, so two sequential invocations.
+# Short-budget fuzz runs through the two real entry points: the daemon's
+# evaluate request (decoded, then served through the handler) and the
+# library's Client.Evaluate. -fuzz accepts one package at a time, so two
+# sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/cachestore
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./flexwatts
 
 lint:
 	$(GO) vet ./...

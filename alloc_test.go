@@ -157,46 +157,6 @@ func TestCacheHitAllocFree(t *testing.T) {
 	}
 }
 
-// nullTier is the cheapest possible sweep.Tier; the hit path must not even
-// reach it.
-type nullTier struct{}
-
-func (nullTier) Put(pdn.Kind, pdn.Scenario, pdn.Result) {}
-
-// TestCacheHitWithTierAllocFree pins that attaching a persistent tier —
-// the disk cache under the memory cache — leaves the hit path at 0
-// allocs/op, for both computed and warm-start-preloaded entries. The tier
-// is write-behind off the miss path only; hits never touch it.
-func TestCacheHitWithTierAllocFree(t *testing.T) {
-	e := benchEnv(t)
-	scenarios := allocScenarios(t)
-	computed := scenarios["multithread-18W"]
-	preloaded := scenarios["graphics-25W"]
-	c := sweep.NewCache()
-	c.AttachTier(nullTier{})
-	m := e.Baselines[pdn.IVR]
-	if _, err := c.Evaluate(m, computed); err != nil { // warm by computing
-		t.Fatal(err)
-	}
-	res, err := m.Evaluate(preloaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Preload(pdn.IVR, preloaded, res) // warm by tier replay
-	for name, s := range map[string]pdn.Scenario{"computed": computed, "preloaded": preloaded} {
-		if avg := testing.AllocsPerRun(200, func() {
-			if _, err := c.Evaluate(m, s); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Errorf("%s hit with tier attached: %.1f allocs/op, want 0", name, avg)
-		}
-	}
-	if c.WarmHits() < 200 {
-		t.Errorf("WarmHits = %d, want >= 200", c.WarmHits())
-	}
-}
-
 // TestEvaluateGridAllocFree pins the batch kernels at 0 allocs/op for a
 // whole 4128-point grid call — not merely per point: the SoA columns are
 // caller-owned, the runners are stack state, and the mask prepass uses a

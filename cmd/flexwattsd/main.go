@@ -1,7 +1,8 @@
 // Command flexwattsd serves the paper's evaluations over HTTP/JSON as a
 // long-lived service: all requests share one evaluation environment and its
 // sharded memoizing cache, so concurrent clients hit warm cells instead of
-// recomputing the grids.
+// recomputing the grids. The cache lives in memory only: models are pure
+// functions of (PDN kind, scenario), so a restart recomputes on demand.
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 // Endpoints:
 //
 //	GET  /healthz                     liveness + cache statistics
-//	GET  /readyz                      readiness (503 until warm-start completes)
+//	GET  /readyz                      readiness (200 once the listener serves)
 //	GET  /metrics                     Prometheus text exposition
 //	GET  /debug/pprof/                profiling surface
 //	GET  /v1/experiments              experiment ids
@@ -21,7 +22,6 @@
 //	POST /v1/evaluate/stream          same batch, streamed back as NDJSON
 //	POST /v1/optimize                 design-space Pareto search
 //	POST /v1/optimize/stream          same search, progress + frontier events as NDJSON
-//	GET/DELETE /v1/admin/cache        cache tier statistics / flush
 //
 // Admission control is tuned with -rate/-burst (per-client token bucket,
 // shed with 429) and -max-inflight-points (server-wide budget, shed with
@@ -29,11 +29,6 @@
 // sweep, so they draw on their own -max-inflight-optimize slot count
 // instead. All shed paths set Retry-After. -access-log turns on one JSON
 // line per request on stderr.
-//
-// -cache-dir enables the crash-safe persistent cache tier: evaluations are
-// written behind to an append-only checksummed log and replayed into the
-// in-memory cache at the next boot. Disk faults degrade the tier (requests
-// keep computing), never a request; /readyz reports degraded:true.
 //
 // The -read-timeout/-write-timeout/-idle-timeout flags harden the listener
 // against slow or stalled clients; /v1/evaluate/stream is exempt from the
@@ -57,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cachestore"
 	"repro/internal/experiments"
 	"repro/internal/server"
 )
@@ -92,10 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		"Retry-After hint sent with 503 shed responses")
 	accessLog := fs.Bool("access-log", false,
 		"log one JSON line per request to stderr")
-	cacheDir := fs.String("cache-dir", "",
-		"directory for the crash-safe persistent cache tier (empty = memory only)")
-	cacheQueue := fs.Int("cache-queue", 0,
-		"write-behind queue length for the persistent tier (0 = default 4096)")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second,
 		"maximum duration for reading an entire request, body included (0 = unlimited)")
 	writeTimeout := fs.Duration("write-timeout", 60*time.Second,
@@ -131,21 +121,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *accessLog {
 		opts.AccessLog = log.New(stderr, "", 0)
-	}
-	if *cacheDir != "" {
-		store, err := cachestore.Open(*cacheDir, cachestore.Options{
-			Version:  env.CacheVersion(),
-			QueueLen: *cacheQueue,
-			Logf:     opts.ErrorLog.Printf,
-		})
-		if err != nil {
-			// The only unrecoverable path: the directory cannot be created,
-			// which is operator misconfiguration, not a runtime disk fault.
-			fmt.Fprintln(stderr, "flexwattsd:", err)
-			return 1
-		}
-		opts.Store = store
-		defer store.Close()
 	}
 	srv := server.New(env, opts)
 

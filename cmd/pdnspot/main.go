@@ -31,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kindF := fs.String("pdn", "IVR", "PDN architecture: IVR, MBVR, LDO, I+MBVR")
 	tdp := fs.Float64("tdp", 4, "thermal design power (W)")
 	wl := fs.String("workload", "mt", "workload class: st, mt, gfx")
-	ar := fs.Float64("ar", 0.6, "application ratio (0,1]")
+	ar := fs.Float64("ar", 0.6, "application ratio [0.01,1]")
 	cstate := fs.String("cstate", "", "evaluate a package C-state instead (C0MIN, C2..C8)")
 	validate := fs.Bool("validate", false, "also run the time-stepped reference and report accuracy")
 	if err := fs.Parse(args); err != nil {

@@ -24,16 +24,10 @@ const (
 	// PathHealthz is the liveness endpoint (GET): it answers 200 as long
 	// as the process serves requests at all.
 	PathHealthz = "/healthz"
-	// PathReadyz is the readiness endpoint (GET): 503 until the
-	// persistent cache tier's warm-start scan has completed, 200 after —
-	// with Ready.Degraded true when the disk tier has been disabled by
-	// repeated faults (the daemon still serves at full correctness,
-	// computing what it can no longer persist).
+	// PathReadyz is the readiness endpoint (GET): it answers 200 with
+	// Ready once the listener serves; the daemon has no start-up work
+	// to wait for.
 	PathReadyz = "/readyz"
-	// PathAdminCache is the cache administration endpoint: GET reports
-	// CacheStats for both tiers, DELETE flushes them (memory keys dropped,
-	// disk segments removed).
-	PathAdminCache = "/v1/admin/cache"
 	// PathMetrics exposes operational metrics in Prometheus text format
 	// (GET).
 	PathMetrics = "/metrics"
@@ -178,54 +172,9 @@ type Health struct {
 	CacheMisses int64  `json:"cache_misses"`
 }
 
-// Ready is the GET /readyz response. Status is "starting" (503) until the
-// warm-start scan completes, then "ready" or — when the disk tier has been
-// disabled after repeated faults — "degraded" (both 200: a degraded daemon
-// serves every request at full correctness by recomputing).
+// Ready is the GET /readyz response; Status is always "ready".
 type Ready struct {
-	Status      string  `json:"status"`
-	Degraded    bool    `json:"degraded"`
-	WarmRecords int64   `json:"warm_records"`
-	WarmSeconds float64 `json:"warm_seconds"`
-}
-
-// MemoryCacheStats describes the in-memory evaluation cache tier.
-type MemoryCacheStats struct {
-	Keys     int   `json:"keys"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	WarmHits int64 `json:"warm_hits"`
-}
-
-// DiskCacheStats describes the persistent cache tier.
-type DiskCacheStats struct {
-	Dir                string  `json:"dir"`
-	Degraded           bool    `json:"degraded"`
-	WarmStarted        bool    `json:"warm_started"`
-	LoadedRecords      int64   `json:"loaded_records"`
-	WarmStartSeconds   float64 `json:"warm_start_seconds"`
-	PersistedRecords   int64   `json:"persisted_records"`
-	DroppedRecords     int64   `json:"dropped_records"`
-	QueueDepth         int     `json:"queue_depth"`
-	QueueCap           int     `json:"queue_cap"`
-	QuarantinedFiles   int64   `json:"quarantined_files"`
-	QuarantinedRecords int64   `json:"quarantined_records"`
-	TruncatedTails     int64   `json:"truncated_tails"`
-	StaleFiles         int64   `json:"stale_files"`
-	Faults             int64   `json:"faults"`
-}
-
-// CacheStats is the GET /v1/admin/cache response. Disk is nil when the
-// daemon runs without a persistent tier (-cache-dir unset).
-type CacheStats struct {
-	Memory MemoryCacheStats `json:"memory"`
-	Disk   *DiskCacheStats  `json:"disk,omitempty"`
-}
-
-// CacheFlush is the DELETE /v1/admin/cache response.
-type CacheFlush struct {
-	FlushedKeys  int `json:"flushed_keys"`
-	RemovedFiles int `json:"removed_files"`
+	Status string `json:"status"`
 }
 
 // ExperimentInfo is one entry of the GET /v1/experiments listing.

@@ -165,6 +165,9 @@ func TestInvalidPoints(t *testing.T) {
 	cases := map[string]flexwatts.Point{
 		"no workload":        {TDP: 18},
 		"bad ar":             {TDP: 18, Workload: flexwatts.MultiThread, AR: 1.5},
+		"tiny ar":            {PDN: flexwatts.MBVR, TDP: 50, Workload: flexwatts.MultiThread, AR: 1e-83}, // overflows MBVR's peak-current term
+		"unknown cstate":     {CState: flexwatts.CState(42)},
+		"unknown workload":   {TDP: 18, Workload: flexwatts.WorkloadType(42), AR: 0.5},
 		"bad tdp":            {TDP: 900, Workload: flexwatts.MultiThread, AR: 0.5},
 		"idle with workload": {CState: flexwatts.C6, Workload: flexwatts.MultiThread, AR: 0.6},
 	}

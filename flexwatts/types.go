@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/workload"
 )
 
 // Watt is a power in watts. It is a defined type (not an alias), so the
@@ -341,12 +343,20 @@ type Point struct {
 	CState   CState       `json:"cstate,omitempty"`
 }
 
-// Validate checks the point's invariants without evaluating it: an idle
-// point must not carry active-point parameters (they would be silently
-// ignored), and an active point needs a workload class and an AR in (0,1].
+// Validate checks the point's invariants without evaluating it: the
+// C-state and workload must be known values, an idle point must not carry
+// active-point parameters (they would be silently ignored), and an active
+// point needs a workload class and an AR in [0.01,1] (below 0.01 the
+// models' worst-case current term overflows).
 // Range checks on TDP happen at evaluation time against the modeled TDP
 // axis. Errors wrap ErrInvalidPoint.
 func (p Point) Validate() error {
+	if p.CState < C0 || p.CState > C8 {
+		return fmt.Errorf("%w: unknown cstate %d", ErrInvalidPoint, int(p.CState))
+	}
+	if p.Workload < WorkloadUnset || p.Workload > BatteryLife {
+		return fmt.Errorf("%w: unknown workload %d", ErrInvalidPoint, int(p.Workload))
+	}
 	if p.CState != C0 {
 		if p.Workload != WorkloadUnset || p.AR != 0 {
 			return fmt.Errorf("%w: cstate %s is an idle-state evaluation: workload and ar must be unset", ErrInvalidPoint, p.CState)
@@ -356,8 +366,8 @@ func (p Point) Validate() error {
 	if p.Workload == WorkloadUnset {
 		return fmt.Errorf("%w: an active (C0) point requires tdp, workload and ar; for idle states set cstate to C0MIN or C2…C8", ErrInvalidPoint)
 	}
-	if !(p.AR > 0 && p.AR <= 1) {
-		return fmt.Errorf("%w: AR %g outside (0,1]", ErrInvalidPoint, p.AR)
+	if !(p.AR >= workload.MinAR && p.AR <= 1) {
+		return fmt.Errorf("%w: AR %g outside [%g,1]", ErrInvalidPoint, p.AR, workload.MinAR)
 	}
 	return nil
 }

@@ -68,16 +68,6 @@ func NewEnv() (*Env, error) {
 	}, nil
 }
 
-// CacheVersion fingerprints everything a cached baseline evaluation
-// depends on: the full PDNspot parameter set, rendered field by field.
-// The persistent cache tier folds this string into its segment headers, so
-// any parameter change — a retuned rail resistance, a new efficiency curve
-// point — invalidates every on-disk record written under the old model;
-// stale state cannot resurrect into a fresh process.
-func (e *Env) CacheVersion() string {
-	return fmt.Sprintf("%#v", e.Params)
-}
-
 // Eval evaluates baseline k on s through the env's memoizing cache.
 func (e *Env) Eval(k pdn.Kind, s pdn.Scenario) (pdn.Result, error) {
 	return e.Cache.Evaluate(e.Baselines[k], s)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/flexwatts/api"
-	"repro/internal/cachestore"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
@@ -18,7 +17,6 @@ import (
 const (
 	routeHealthz        = "healthz"
 	routeReadyz         = "readyz"
-	routeAdminCache     = "admin_cache"
 	routeMetrics        = "metrics"
 	routeExperiments    = "experiments"
 	routeExperiment     = "experiment"
@@ -30,7 +28,7 @@ const (
 )
 
 var routes = []string{
-	routeHealthz, routeReadyz, routeAdminCache, routeMetrics,
+	routeHealthz, routeReadyz, routeMetrics,
 	routeExperiments, routeExperiment,
 	routeEvaluate, routeEvaluateStream,
 	routeOptimize, routeOptimizeStream, routePprof,
@@ -80,9 +78,9 @@ type serverMetrics struct {
 	optimizeSeconds    *metrics.Histogram
 }
 
-// newServerMetrics builds the registry over the shared evaluation cache,
-// the optional persistent tier, and the server's start time.
-func newServerMetrics(cache *sweep.Cache, store *cachestore.Store, start time.Time) *serverMetrics {
+// newServerMetrics builds the registry over the shared evaluation cache
+// and the server's start time.
+func newServerMetrics(cache *sweep.Cache, start time.Time) *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
 		reg:      reg,
@@ -150,40 +148,6 @@ func newServerMetrics(cache *sweep.Cache, store *cachestore.Store, start time.Ti
 	reg.GaugeFunc("flexwattsd_uptime_seconds",
 		"Seconds since the daemon started.",
 		func() float64 { return time.Since(start).Seconds() })
-	reg.CounterFunc("flexwattsd_tier_hits_total",
-		"Evaluations answered by entries warm-loaded from the persistent tier.",
-		func() float64 { return float64(cache.WarmHits()) })
-	if store != nil {
-		reg.CounterFunc("flexwattsd_tier_persisted_total",
-			"Results written behind to the persistent cache tier.",
-			func() float64 { return float64(store.Stats().Persisted) })
-		reg.CounterFunc("flexwattsd_tier_dropped_total",
-			"Write-behind records dropped (queue full or tier degraded).",
-			func() float64 { return float64(store.Stats().Dropped) })
-		reg.CounterFunc("flexwattsd_tier_faults_total",
-			"Disk faults absorbed by the persistent tier.",
-			func() float64 { return float64(store.Stats().Faults) })
-		reg.GaugeFunc("flexwattsd_tier_quarantined_records",
-			"Records lost to quarantined (corrupt) segment files.",
-			func() float64 { return float64(store.Stats().QuarantinedRecords) })
-		reg.GaugeFunc("flexwattsd_tier_queue_depth",
-			"Write-behind records waiting for the persister goroutine.",
-			func() float64 { return float64(store.Stats().QueueDepth) })
-		reg.GaugeFunc("flexwattsd_tier_degraded",
-			"1 when the persistent tier has disabled itself after repeated faults.",
-			func() float64 {
-				if store.Degraded() {
-					return 1
-				}
-				return 0
-			})
-		reg.GaugeFunc("flexwattsd_tier_warm_start_seconds",
-			"Wall time the boot warm-start scan took; 0 until it completes.",
-			func() float64 { return store.Stats().WarmStartSeconds })
-		reg.GaugeFunc("flexwattsd_tier_loaded_records",
-			"Records replayed from disk into the in-memory cache at warm start.",
-			func() float64 { return float64(store.Stats().Loaded) })
-	}
 	return m
 }
 

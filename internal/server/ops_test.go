@@ -489,3 +489,161 @@ func TestRateLimiterRefill(t *testing.T) {
 		t.Error("nil limiter refused")
 	}
 }
+
+// TestReadyz pins the readiness probe: 200 {"status":"ready"} whenever
+// the handler serves.
+func TestReadyz(t *testing.T) {
+	ts := testServer(t)
+	code, body, _ := get(t, ts, "/readyz")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	var r api.Ready
+	if err := json.Unmarshal([]byte(body), &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != "ready" {
+		t.Errorf("ready = %+v, want status ready", r)
+	}
+}
+
+// TestPanicRecoveryEnvelope pins the middleware contract for a panic
+// before the response starts: the client gets the uniform internal-error
+// envelope and the daemon keeps serving.
+func TestPanicRecoveryEnvelope(t *testing.T) {
+	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+	s := New(envVal, Options{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/boom", s.instrument(routeEvaluate, func(w http.ResponseWriter, r *http.Request) {
+		panic("handler bug")
+	}))
+	mux.HandleFunc(api.PathHealthz, s.instrument(routeHealthz, s.handleHealthz))
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	before := s.metrics.panics.Value()
+	code, body, _ := get(t, ts, "/boom")
+	if code != http.StatusInternalServerError {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	var e api.Error
+	if err := json.Unmarshal([]byte(body), &e); err != nil {
+		t.Fatalf("panic response is not the error envelope: %s", body)
+	}
+	if e.Code != "internal" {
+		t.Errorf("code %q, want internal", e.Code)
+	}
+	if got := s.metrics.panics.Value(); got != before+1 {
+		t.Errorf("panics counter = %v, want %v", got, before+1)
+	}
+	// The daemon survived.
+	if code, _, _ := get(t, ts, "/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after panic: %d", code)
+	}
+}
+
+// TestPanicMidStreamAbortsCleanly pins the other half: once an NDJSON
+// stream has started, a panic must abort the connection — never inject an
+// error envelope between lines, which would corrupt the framing for every
+// line after it.
+func TestPanicMidStreamAbortsCleanly(t *testing.T) {
+	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+	s := New(envVal, Options{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/stream-boom", s.instrument(routeEvaluateStream, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		for i := 0; i < 3; i++ {
+			io.WriteString(w, `{"index":`+string(rune('0'+i))+"}\n") //nolint:errcheck
+		}
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		panic("mid-stream bug")
+	}))
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	resp, err := ts.Client().Get(ts.URL + "/stream-boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d before the panic point", resp.StatusCode)
+	}
+	var lines []string
+	var readErr error
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	readErr = sc.Err()
+	if readErr == nil {
+		t.Error("stream ended cleanly; a mid-stream panic must abort the connection")
+	}
+	for _, line := range lines {
+		if strings.Contains(line, `"internal"`) {
+			t.Errorf("error envelope leaked into the NDJSON stream: %s", line)
+		}
+		var v map[string]any
+		if err := json.Unmarshal([]byte(line), &v); err != nil {
+			t.Errorf("corrupt NDJSON line %q: %v", line, err)
+		}
+	}
+}
+
+// TestStreamSurvivesGlobalWriteTimeout proves the stream route's rolling
+// write deadline overrides a server-wide WriteTimeout far shorter than the
+// stream's duration.
+func TestStreamSurvivesGlobalWriteTimeout(t *testing.T) {
+	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
+	if envErr != nil {
+		t.Fatal(envErr)
+	}
+	s := New(envVal, Options{StreamWriteTimeout: 10 * time.Second})
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.WriteTimeout = 250 * time.Millisecond
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	// A batch big enough to stream past the 250ms write deadline, with the
+	// client reading slowly to stretch delivery time.
+	var sb strings.Builder
+	sb.WriteString(`{"points":[`)
+	for i := 0; i < 600; i++ {
+		if i > 0 {
+			sb.WriteString(",")
+		}
+		sb.WriteString(`{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}`)
+	}
+	sb.WriteString(`]}`)
+	resp, err := ts.Client().Post(ts.URL+"/v1/evaluate/stream", "application/json", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	lines := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		lines++
+		if lines%100 == 0 {
+			time.Sleep(60 * time.Millisecond) // stretch past WriteTimeout
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream died after %d lines: %v (global WriteTimeout leaked in?)", lines, err)
+	}
+	if lines != 600 {
+		t.Errorf("received %d lines, want 600", lines)
+	}
+}

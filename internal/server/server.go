@@ -16,6 +16,7 @@
 // Endpoints:
 //
 //	GET  /healthz                          liveness + cache statistics
+//	GET  /readyz                           readiness (200 once the listener serves)
 //	GET  /metrics                          Prometheus text exposition
 //	GET  /v1/experiments                   registered experiment ids
 //	GET  /v1/experiments/{id}?format=F     one experiment (ascii|json|csv)
@@ -43,13 +44,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/flexwatts"
 	"repro/flexwatts/api"
 	"repro/flexwatts/report"
-	"repro/internal/cachestore"
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/experiments"
@@ -102,19 +101,11 @@ type Options struct {
 	// excess searches are shed with 503 + Retry-After. <= 0 means
 	// DefaultMaxInflightOptimize.
 	MaxInflightOptimize int
-	// Store, when non-nil, is the persistent cache tier: it is attached
-	// under the environment's in-memory cache (write-behind) and its
-	// segments are replayed into it by an asynchronous warm-start scan.
-	// GET /readyz answers 503 until that scan completes, and reports
-	// degraded:true if the tier disables itself after repeated disk
-	// faults. The server owns the store's lifecycle from here on.
-	Store *cachestore.Store
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request.
 	AccessLog *log.Logger
 	// ErrorLog, when non-nil, receives operational errors (recovered
-	// handler panics with stacks, warm-start reports); nil uses the
-	// process-default logger.
+	// handler panics with stacks); nil uses the process-default logger.
 	ErrorLog *log.Logger
 }
 
@@ -155,9 +146,6 @@ type Server struct {
 	// requests, so the batch prepass stops costing one grid allocation
 	// per request under steady load.
 	arena pdn.GridArena
-	// ready flips once the persistent tier's warm-start scan completes
-	// (immediately when no tier is configured); /readyz keys off it.
-	ready atomic.Bool
 }
 
 // datasetMemo computes an experiment's dataset exactly once; concurrent
@@ -190,7 +178,7 @@ func New(env *experiments.Env, opts Options) *Server {
 		opts.MaxInflightOptimize = DefaultMaxInflightOptimize
 	}
 	start := time.Now()
-	m := newServerMetrics(env.Cache, opts.Store, start)
+	m := newServerMetrics(env.Cache, start)
 	s := &Server{
 		env:     env,
 		opts:    opts,
@@ -208,14 +196,6 @@ func New(env *experiments.Env, opts Options) *Server {
 			Workers:  opts.Workers,
 		},
 	}
-	m.reg.GaugeFunc("flexwattsd_ready",
-		"1 once the warm-start scan has completed and the daemon is ready.",
-		func() float64 {
-			if s.ready.Load() {
-				return 1
-			}
-			return 0
-		})
 	m.reg.CounterFunc("flexwattsd_grid_arena_gets_total",
 		"Grid arena lease checkouts by the evaluate handlers' warm pass.",
 		func() float64 { gets, _ := s.arena.Stats(); return float64(gets) })
@@ -231,28 +211,7 @@ func New(env *experiments.Env, opts Options) *Server {
 			}
 			return float64(reuses) / float64(gets)
 		})
-	if opts.Store != nil {
-		env.Cache.AttachTier(opts.Store)
-		go s.warmStart()
-	} else {
-		s.ready.Store(true)
-	}
 	return s
-}
-
-// warmStart replays the persistent tier into the in-memory cache and then
-// marks the server ready. It runs concurrently with traffic: requests
-// arriving during the scan are served (computing what is not yet warm),
-// only /readyz holds back until the replay is complete.
-func (s *Server) warmStart() {
-	defer s.ready.Store(true)
-	begin := time.Now()
-	n := s.opts.Store.WarmStart(func(k pdn.Kind, sc pdn.Scenario, res pdn.Result) {
-		s.env.Cache.Preload(k, sc, res)
-	})
-	st := s.opts.Store.Stats()
-	s.logf("flexwattsd: cache warm-start: %d records in %s (quarantined files %d, stale %d, degraded %v)",
-		n, time.Since(begin).Round(time.Millisecond), st.QuarantinedFiles, st.StaleFiles, st.Degraded)
 }
 
 // logf writes one operational log line to ErrorLog (or the default logger).
@@ -271,7 +230,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(api.PathHealthz, s.instrument(routeHealthz, s.handleHealthz))
 	mux.HandleFunc(api.PathReadyz, s.instrument(routeReadyz, s.handleReadyz))
-	mux.HandleFunc(api.PathAdminCache, s.instrument(routeAdminCache, s.handleAdminCache))
 	mux.HandleFunc(api.PathMetrics, s.instrument(routeMetrics, s.handleMetrics))
 	mux.HandleFunc(api.PathExperiments, s.instrument(routeExperiments, s.handleList))
 	mux.HandleFunc(api.PathExperiments+"/", s.instrument(routeExperiment, s.handleExperiment))
@@ -400,86 +358,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is GET /readyz — the readiness probe, distinct from the
-// /healthz liveness probe: a booting daemon is alive but answers 503 here
-// until the persistent tier's warm-start replay completes, so a rolling
-// deploy does not route traffic at a cold cache. Once ready the status is
-// "ready", or "degraded" when the disk tier has disabled itself after
-// repeated faults — degraded is still 200: the daemon serves at full
-// correctness, it just recomputes what it can no longer persist.
+// /healthz liveness probe. The daemon has no start-up work to finish, so
+// it answers 200 whenever the handler serves.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	var degraded bool
-	var loaded int64
-	var warmSec float64
-	if st := s.opts.Store; st != nil {
-		stats := st.Stats()
-		degraded = stats.Degraded
-		loaded = stats.Loaded
-		warmSec = stats.WarmStartSeconds
-	}
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, api.Ready{Status: "starting", Degraded: degraded})
-		return
-	}
-	status := "ready"
-	if degraded {
-		status = "degraded"
-	}
-	writeJSON(w, http.StatusOK, api.Ready{
-		Status:      status,
-		Degraded:    degraded,
-		WarmRecords: loaded,
-		WarmSeconds: warmSec,
-	})
-}
-
-// handleAdminCache serves /v1/admin/cache: GET reports both cache tiers,
-// DELETE flushes them — memory keys dropped, disk segments removed, and a
-// degraded disk tier given a fresh start (a purge clears its fault state).
-func (s *Server) handleAdminCache(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		hits, misses := s.env.Cache.Stats()
-		stats := api.CacheStats{
-			Memory: api.MemoryCacheStats{
-				Keys:     s.env.Cache.Len(),
-				Hits:     hits,
-				Misses:   misses,
-				WarmHits: s.env.Cache.WarmHits(),
-			},
-		}
-		if st := s.opts.Store; st != nil {
-			d := st.Stats()
-			stats.Disk = &api.DiskCacheStats{
-				Dir:                d.Dir,
-				Degraded:           d.Degraded,
-				WarmStarted:        d.WarmStarted,
-				LoadedRecords:      d.Loaded,
-				WarmStartSeconds:   d.WarmStartSeconds,
-				PersistedRecords:   d.Persisted,
-				DroppedRecords:     d.Dropped,
-				QueueDepth:         d.QueueDepth,
-				QueueCap:           d.QueueCap,
-				QuarantinedFiles:   d.QuarantinedFiles,
-				QuarantinedRecords: d.QuarantinedRecords,
-				TruncatedTails:     d.TruncatedTails,
-				StaleFiles:         d.StaleFiles,
-				Faults:             d.Faults,
-			}
-		}
-		writeJSON(w, http.StatusOK, stats)
-	case http.MethodDelete:
-		removed := 0
-		if st := s.opts.Store; st != nil {
-			removed = st.Purge()
-		}
-		flushed := s.env.Cache.Reset()
-		writeJSON(w, http.StatusOK, api.CacheFlush{FlushedKeys: flushed, RemovedFiles: removed})
-	default:
-		allow(w, r, http.MethodGet, http.MethodDelete)
-	}
+	writeJSON(w, http.StatusOK, api.Ready{Status: "ready"})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -280,6 +280,10 @@ func TestEvaluateErrors(t *testing.T) {
 		{"bad cstate", `{"points":[{"pdn":"IVR","cstate":"C99"}]}`, http.StatusBadRequest},
 		{"bad tdp", `{"points":[{"pdn":"IVR","tdp":900,"workload":"graphics","ar":0.5}]}`, http.StatusBadRequest},
 		{"contradictory idle+active", `{"points":[{"pdn":"IVR","cstate":"C6","workload":"multi-thread","ar":0.6}]}`, http.StatusBadRequest},
+		// ARs below workload.MinAR overflowed the peak-current term: a
+		// handler panic (500) for MBVR, p_in ≈ 1e298 W (200) for FlexWatts.
+		{"vanishing ar", `{"points":[{"pdn":"MBVR","tdp":50,"workload":"multi-thread","ar":5e-324}]}`, http.StatusBadRequest},
+		{"tiny ar", `{"points":[{"pdn":"FlexWatts","tdp":50,"workload":"multi-thread","ar":1e-300}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, body := postEvaluate(t, ts, tc.body)

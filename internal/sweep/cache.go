@@ -43,28 +43,12 @@ type cacheShard struct {
 // plain values — pdn.Result stores its rails in a value array — so a hit
 // returns an independent copy and callers may do with it as they please.
 type Cache struct {
-	seed     maphash.Seed
-	shards   [cacheShards]cacheShard
-	hits     atomic.Int64
-	misses   atomic.Int64
-	warmHits atomic.Int64
-	size     atomic.Int64
-	// tier is the optional persistent layer below the shards; boxed so
-	// the interface can be swapped atomically (warm-start attaches it
-	// while traffic may already be flowing).
-	tier atomic.Pointer[tierRef]
+	seed   maphash.Seed
+	shards [cacheShards]cacheShard
+	hits   atomic.Int64
+	misses atomic.Int64
+	size   atomic.Int64
 }
-
-// Tier is a second cache level under the in-memory shards: Put is invoked
-// write-behind, exactly once per key, after a miss computes a result.
-// Implementations must not block — the caller is the evaluation path —
-// and must tolerate being dropped on the floor (a Tier is an optimization,
-// never a dependency). internal/cachestore.Store implements Tier.
-type Tier interface {
-	Put(kind pdn.Kind, s pdn.Scenario, res pdn.Result)
-}
-
-type tierRef struct{ t Tier }
 
 // cacheEntry is one published evaluation slot, resolved by a
 // creator-computes protocol: the goroutine that inserts the entry under
@@ -79,21 +63,9 @@ type cacheEntry struct {
 	done chan struct{}
 	res  pdn.Result
 	err  error
-	// warm marks an entry preloaded from a Tier; set before the entry is
-	// published and never mutated after, so reads need no synchronization
-	// beyond the shard map's.
-	warm bool
 }
 
 func newCacheEntry() *cacheEntry { return &cacheEntry{done: make(chan struct{})} }
-
-// closedDone is shared by entries born complete (tier preloads): their
-// result is published at insertion, so waiters must never block.
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // NewCache returns an empty evaluation cache.
 func NewCache() *Cache {
@@ -138,9 +110,6 @@ func (c *Cache) Evaluate(m pdn.Model, s pdn.Scenario) (pdn.Result, error) {
 	}
 	if ok {
 		c.hits.Add(1)
-		if e.warm {
-			c.warmHits.Add(1)
-		}
 		// Someone else claimed the key — a scalar evaluation or a grid
 		// block holding it in flight; wait for the published result
 		// instead of computing a duplicate.
@@ -149,79 +118,8 @@ func (c *Cache) Evaluate(m pdn.Model, s pdn.Scenario) (pdn.Result, error) {
 	}
 	c.misses.Add(1)
 	e.res, e.err = m.Evaluate(s)
-	// Write-behind: persist the fresh result before publishing, so the
-	// tier sees each key at most once per process. The tier's Put contract
-	// is non-blocking, keeping evaluation latency untouched; preloaded
-	// entries never re-enter the tier (they are born published).
-	if e.err == nil {
-		if ref := c.tier.Load(); ref != nil {
-			ref.t.Put(key.kind, key.s, e.res)
-		}
-	}
 	close(e.done)
 	return e.res, e.err
-}
-
-// AttachTier connects (or, with nil, disconnects) the persistent layer
-// below the in-memory shards. Safe to call while the cache is in use;
-// entries computed after the attach flow to the tier.
-func (c *Cache) AttachTier(t Tier) {
-	if t == nil {
-		c.tier.Store(nil)
-		return
-	}
-	c.tier.Store(&tierRef{t: t})
-}
-
-// Preload inserts a completed evaluation — typically replayed from a Tier
-// at warm start — without invoking any model and without writing back to
-// the tier. It reports false when the key is already present (a live
-// evaluation beat the replay; both produce identical results, so first
-// wins). Safe to call concurrently with Evaluate.
-func (c *Cache) Preload(kind pdn.Kind, s pdn.Scenario, res pdn.Result) bool {
-	if c == nil {
-		return false
-	}
-	key := cacheKey{kind: kind, s: s}
-	e := &cacheEntry{done: closedDone, res: res, warm: true} // born complete
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if _, exists := sh.entries[key]; exists {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	c.size.Add(1)
-	return true
-}
-
-// WarmHits reports how many Evaluate calls were answered by entries
-// preloaded from the tier — the tier's hit count.
-func (c *Cache) WarmHits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.warmHits.Load()
-}
-
-// Reset drops every cached entry (the admin cache-flush path) and returns
-// how many keys were removed. In-flight evaluations holding entry pointers
-// complete unaffected; hit/miss counters stay monotone.
-func (c *Cache) Reset() int {
-	if c == nil {
-		return 0
-	}
-	removed := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		removed += len(sh.entries)
-		sh.entries = make(map[cacheKey]*cacheEntry)
-		sh.mu.Unlock()
-	}
-	c.size.Add(int64(-removed))
-	return removed
 }
 
 // Stats reports how many Evaluate calls hit and missed the cache.

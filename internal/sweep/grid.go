@@ -47,11 +47,11 @@ var gridProbePool = sync.Pool{New: func() any { return new(gridProbe) }}
 
 // EvaluateGrid evaluates every grid point into out[:g.Len()], consulting
 // the cache per point exactly as Evaluate does — same key, same hit/miss
-// accounting, same once-per-key model invocation and tier write-behind —
-// but resolving each block's misses with a single EvaluateGrid kernel call
-// instead of per-point Evaluate. On a warm cache no model is invoked at
-// all. Concurrent scalar and grid evaluations of the same key are safe:
-// the entry's creator-computes protocol guarantees exactly one model
+// accounting, same once-per-key model invocation — but resolving each
+// block's misses with a single EvaluateGrid kernel call instead of
+// per-point Evaluate. On a warm cache no model is invoked at all.
+// Concurrent scalar and grid evaluations of the same key are safe: the
+// entry's creator-computes protocol guarantees exactly one model
 // invocation per key, and both paths produce identical bits.
 //
 // Per-point errors surface as the lowest failing index wrapped by
@@ -158,26 +158,22 @@ func (c *Cache) EvaluateGrid(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
 		// per-point adds), and the miss list rebuilt in ascending point
 		// order for the kernel.
 		nm := 0
-		var nh, nw int64
+		var nh int64
 		for j := 0; j < bn; j++ {
 			if p.hit[j] {
 				nh++
-				if p.entries[j].warm {
-					nw++
-				}
 			} else {
 				p.missIdx[nm] = lo + j
 				nm++
 			}
 		}
 		c.hits.Add(nh)
-		c.warmHits.Add(nw)
 		c.misses.Add(int64(nm))
 		// Resolve the block's claimed keys with one kernel call and publish
-		// each under its entry (the tier write-behind rides along, as in
-		// Evaluate). This call is the creator of every entry in missIdx, so
-		// it alone computes them — that is the exactly-one-invocation
-		// contract scalar racers rely on when they block on done below.
+		// each under its entry. This call is the creator of every entry in
+		// missIdx, so it alone computes them — that is the
+		// exactly-one-invocation contract scalar racers rely on when they
+		// block on done below.
 		// Duplicate keys within a block alias one entry: the first
 		// occurrence creates (and appears here), later ones are hits. If
 		// the kernel rejects the sub-grid (an invalid point), fall back to
@@ -196,11 +192,6 @@ func (c *Cache) EvaluateGrid(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
 					e.res, e.err = p.missOut[j], nil
 				} else {
 					e.res, e.err = m.Evaluate(g.At(i))
-				}
-				if e.err == nil {
-					if ref := c.tier.Load(); ref != nil {
-						ref.t.Put(kind, g.At(i), e.res)
-					}
 				}
 				close(e.done)
 			}

@@ -125,67 +125,6 @@ func TestCacheEvaluateGridInterleavesScalar(t *testing.T) {
 	}
 }
 
-// TestCacheEvaluateGridWarmHits pins tier accounting: preloaded entries
-// count as warm hits on the grid path exactly as on the scalar path.
-func TestCacheEvaluateGridWarmHits(t *testing.T) {
-	const n = 16
-	m, g := gridTestModel(t, n)
-	c := NewCache()
-	for i := 0; i < n; i += 4 {
-		res, err := m.Evaluate(g.At(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Preload(pdn.IVR, g.At(i), res)
-	}
-	out := make([]pdn.Result, n)
-	if err := c.EvaluateGrid(m, g, out); err != nil {
-		t.Fatal(err)
-	}
-	if c.WarmHits() != n/4 {
-		t.Errorf("WarmHits = %d, want %d", c.WarmHits(), n/4)
-	}
-}
-
-// gridRecordingTier records Put calls (the write-behind contract: once per
-// key, misses only).
-type gridRecordingTier struct {
-	mu   sync.Mutex
-	puts map[pdn.Scenario]int
-}
-
-func (r *gridRecordingTier) Put(_ pdn.Kind, s pdn.Scenario, _ pdn.Result) {
-	r.mu.Lock()
-	r.puts[s]++
-	r.mu.Unlock()
-}
-
-// TestCacheEvaluateGridTierWriteBehind pins that grid-resolved misses flow
-// to the tier exactly once per key, and warm re-evaluation adds nothing.
-func TestCacheEvaluateGridTierWriteBehind(t *testing.T) {
-	const n = 40
-	m, g := gridTestModel(t, n)
-	c := NewCache()
-	tier := &gridRecordingTier{puts: make(map[pdn.Scenario]int)}
-	c.AttachTier(tier)
-	out := make([]pdn.Result, n)
-	for pass := 0; pass < 2; pass++ {
-		if err := c.EvaluateGrid(m, g, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tier.mu.Lock()
-	defer tier.mu.Unlock()
-	if len(tier.puts) != n {
-		t.Fatalf("tier saw %d keys, want %d", len(tier.puts), n)
-	}
-	for s, count := range tier.puts {
-		if count != 1 {
-			t.Errorf("tier Put called %d times for %+v, want 1", count, s)
-		}
-	}
-}
-
 // TestCacheEvaluateGridError pins the error contract: lowest failing index
 // wrapped with the scalar error; the invalid key caches its error like the
 // scalar path does.

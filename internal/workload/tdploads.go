@@ -58,6 +58,13 @@ const (
 	flGFX     = 0.45
 )
 
+// MinAR is the smallest application ratio an active point may carry. The
+// models size each domain's worst-case current as PNom/AR, so a vanishing
+// AR overflows that term: near 1e-83 for MBVR and near 1e-307 for every
+// other PDN. The floor sits at 0.01, below the 0.02 the activity sensor's
+// AR estimate clamps to, and keeps every model finite at every modeled TDP.
+const MinAR = 0.01
+
 // TDPScenario builds the Fig 4-style evaluation scenario for a workload
 // type at the given TDP and application ratio. Nominal powers come from the
 // design tables; voltages come from the platform's V–f curves at the TDP's
@@ -67,8 +74,8 @@ func TDPScenario(plat *domain.Platform, tdp units.Watt, t Type, ar float64) (pdn
 		return pdn.Scenario{}, fmt.Errorf("workload: TDP %gW outside modeled range [%g, %g]",
 			tdp, tdpAxis[0], tdpAxis[len(tdpAxis)-1])
 	}
-	if !(ar > 0 && ar <= 1) {
-		return pdn.Scenario{}, fmt.Errorf("workload: AR %g outside (0,1]", ar)
+	if !(ar >= MinAR && ar <= 1) {
+		return pdn.Scenario{}, fmt.Errorf("workload: AR %g outside [%g,1]", ar, MinAR)
 	}
 	s := pdn.NewScenario()
 	s.CState = domain.C0

@@ -45,7 +45,7 @@ func (t Trace) Validate() error {
 		if p.Duration <= 0 {
 			return fmt.Errorf("workload: trace %q phase %d has non-positive duration", t.Name, i)
 		}
-		if p.CState.ComputeActive() && !(p.AR > 0 && p.AR <= 1) {
+		if p.CState.ComputeActive() && !(p.AR >= MinAR && p.AR <= 1) {
 			return fmt.Errorf("workload: trace %q phase %d active with AR %g", t.Name, i, p.AR)
 		}
 	}

@@ -27,7 +27,7 @@ SLO_LABEL ?= slo
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo fuzz-smoke staticcheck govulncheck
+.PHONY: all build test race bench bench-json bench-check lint fmt ci smoke slo fuzz-smoke flexbench staticcheck govulncheck
 
 all: build test
 
@@ -89,6 +89,12 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./flexwatts
+
+# The benchmark program is its own module (flexbench/go.mod), so the root
+# targets never compile it; this builds, vets and tests it against the
+# current tree, so an API change that breaks the benchmark fails here.
+flexbench:
+	cd flexbench && $(GO) vet . && $(GO) test .
 
 lint:
 	$(GO) vet ./...

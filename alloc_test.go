@@ -8,12 +8,19 @@
 package repro_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
+	"repro/flexwatts/api"
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/pdn"
+	"repro/internal/server"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -195,7 +202,7 @@ func TestEvaluateGridAllocFree(t *testing.T) {
 // the serving layer and the SDK take per batch request: check a lease out,
 // fill its grid, take a result block, release. After the first cycle
 // builds the backing storage, a steady-state cycle must not allocate at
-// all; this is what keeps the daemon's warm pass allocation-free per
+// all; this is what keeps the daemon's batch pass allocation-free per
 // request under fleet load.
 func TestGridArenaAllocFree(t *testing.T) {
 	if raceDetectorEnabled {
@@ -262,5 +269,67 @@ func TestCacheGridAllocs(t *testing.T) {
 	if hits, misses := c.Stats(); misses != int64(g.Len()) || hits < int64(10*g.Len()) {
 		t.Errorf("stats hits=%d misses=%d, want exactly %d misses and >=%d hits",
 			hits, misses, g.Len(), 10*g.Len())
+	}
+}
+
+// mixedEvalBody renders a POST /v1/evaluate body of n distinct points
+// over all five PDN kinds, every workload type, seven TDPs and every
+// idle state.
+func mixedEvalBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	kinds := []string{"FlexWatts", "IVR", "MBVR", "LDO", "I+MBVR"}
+	types := []string{"single-thread", "multi-thread", "graphics"}
+	tdps := []float64{4, 8, 12, 18, 25, 35, 50}
+	idle := []string{"C0MIN", "C2", "C3", "C6", "C7", "C8"}
+	req := api.EvalRequest{Points: make([]api.EvalPoint, n)}
+	for i := range req.Points {
+		p := api.EvalPoint{PDN: kinds[i%len(kinds)]}
+		if i%16 == 15 {
+			p.CState = idle[(i/16)%len(idle)]
+		} else {
+			p.TDP = tdps[(i/5)%len(tdps)]
+			p.Workload = types[(i/35)%len(types)]
+			p.AR = 0.3 + 0.6*float64(i)/float64(n)
+		}
+		req.Points[i] = p
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestEvaluateHandlerAllocBudget pins the allocation cost of one
+// in-process 4096-point mixed POST /v1/evaluate, per point: request
+// decoding, job building, the grouped grid-kernel pass and the response
+// encoding together. Measured at 9.0 allocs and 1.6 KB per point; the
+// budgets leave 5 % headroom.
+func TestEvaluateHandlerAllocBudget(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector drops sync.Pool puts; pooled codecs and arenas reallocate")
+	}
+	const n = 4096
+	h := server.New(benchEnv(t), server.Options{}).Handler()
+	body := mixedEvalBody(t, n)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.PathEvaluate, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %.200s", rec.Code, rec.Body.String())
+		}
+	}
+	serve() // grow the pooled codec and arena once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, serve) / n
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / 6 / n
+	t.Logf("%.2f allocs/point, %.0f B/point", allocs, bytesPer)
+	if allocs > 9.5 {
+		t.Errorf("evaluate handler: %.2f allocs/point, budget 9.5", allocs)
+	}
+	if bytesPer > 1700 {
+		t.Errorf("evaluate handler: %.0f B/point, budget 1700", bytesPer)
 	}
 }

@@ -1,8 +1,8 @@
 // Command flexwattsd serves the paper's evaluations over HTTP/JSON as a
-// long-lived service: all requests share one evaluation environment and its
-// sharded memoizing cache, so concurrent clients hit warm cells instead of
-// recomputing the grids. The cache lives in memory only: models are pure
-// functions of (PDN kind, scenario), so a restart recomputes on demand.
+// long-lived service: all requests share one evaluation environment, whose
+// experiment datasets are computed once per process. Evaluate batches run
+// one grid-kernel pass per PDN bucket and bypass the evaluation cache; the
+// cache lives in memory only and serves the experiments and the optimizer.
 //
 // Usage:
 //
@@ -80,8 +80,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		"per-client burst allowance for -rate (0 = max(1, rate))")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes,
 		"maximum request body size in bytes")
-	streamWindow := fs.Int("stream-window", 0,
-		"reorder window for /v1/evaluate/stream (0 = 4×workers)")
+	streamWindow := fs.Int("stream-window", server.DefaultStreamWindow,
+		"points /v1/evaluate/stream evaluates and buffers per chunk")
 	retryAfter := fs.Duration("retry-after", server.DefaultRetryAfter,
 		"Retry-After hint sent with 503 shed responses")
 	accessLog := fs.Bool("access-log", false,

@@ -39,8 +39,7 @@ import (
 )
 
 // points builds the batch evaluated by every request: a deterministic
-// spread across the AR axis, so repeated requests hit the daemon's warm
-// cache the way a steady-state fleet client would.
+// spread across the AR axis, the same for every request.
 func points(batch int) []flexwatts.Point {
 	pts := make([]flexwatts.Point, batch)
 	for i := range pts {
@@ -172,8 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// report line — named by the client concurrency too, so `make slo`
 		// can sweep -workers and BENCH_<pr>.json records how request
 		// throughput scales both with points per request riding the batch
-		// kernel and with concurrent requests sharing the daemon's arenas
-		// and cache shards.
+		// kernel and with concurrent requests sharing the daemon's arenas.
 		for _, n := range gridBatchSizes {
 			lineName := fmt.Sprintf("LoadgenGrid/workers=%d/batch=%d", *workers, n)
 			if code := drive(ctx, *rps, *duration, *workers, n, lineName, stdout, stderr,

@@ -52,9 +52,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithCache toggles the memoizing evaluation cache (default on): repeated
-// baseline evaluations of the same point cost one model run per Client.
-// Disable it for memory-constrained embedding or when sweeping enormous
-// non-repeating grids.
+// single-point baseline evaluations (Evaluate, EvaluateKind) and optimizer
+// candidates cost one model run per Client. EvaluateBatch never consults
+// it. Disable it for memory-constrained embedding.
 func WithCache(enabled bool) Option {
 	return func(c *config) { c.cache = enabled }
 }
@@ -81,8 +81,9 @@ type Client struct {
 	pred      *core.Predictor
 	cache     *sweep.Cache
 	workers   int
-	// arena recycles warmBatch's grid + result blocks across EvaluateBatch
-	// calls; its zero value is ready, so no constructor wiring is needed.
+	// batch is EvaluateBatch's grouped pass; arena recycles its bucket
+	// grid + result blocks across calls.
+	batch *core.Batch
 	arena pdn.GridArena
 	// opt is the design-space search engine behind Optimize; it shares the
 	// client's platform, parameters, cache and worker bound, and owns its
@@ -125,6 +126,7 @@ func NewClient(opts ...Option) (*Client, error) {
 	if cfg.cache {
 		c.cache = sweep.NewCache()
 	}
+	c.batch = core.NewBatch(baselines, flex, pred, &c.arena)
 	c.opt = optimize.Engine{
 		Platform: cfg.platform,
 		Base:     cfg.params,
@@ -150,45 +152,64 @@ func (c *Client) scenario(pt Point) (pdn.Scenario, error) {
 	return s, nil
 }
 
-// evaluate runs one validated point on the PDN selected by kind.
-func (c *Client) evaluate(kind Kind, pt Point) (Result, error) {
+// job validates a point and builds its evaluation job on the PDN selected
+// by kind.
+func (c *Client) job(kind Kind, pt Point) (core.Job, error) {
 	if err := pt.Validate(); err != nil {
-		return Result{}, err
+		return core.Job{}, err
 	}
 	ik, err := internalKind(kind)
 	if err != nil {
-		return Result{}, err
+		return core.Job{}, err
 	}
 	s, err := c.scenario(pt)
+	if err != nil {
+		return core.Job{}, err
+	}
+	tdp := float64(pt.TDP)
+	if pt.CState != C0 && tdp == 0 {
+		tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
+	}
+	return core.Job{Kind: ik, Scenario: s, TDP: tdp}, nil
+}
+
+// result converts an evaluation of j into the public result; m is the
+// predicted hybrid mode and only read for FlexWatts.
+func result(j *core.Job, pt *Point, r *pdn.Result, m core.Mode) Result {
+	mode := ModeNone
+	if j.Kind == pdn.FlexWatts {
+		mode = modeFromInternal(m)
+	}
+	res := resultFromInternal(*r, mode)
+	res.CState = pt.CState
+	return res
+}
+
+// evaluate runs one point on the PDN selected by kind.
+func (c *Client) evaluate(kind Kind, pt Point) (Result, error) {
+	j, err := c.job(kind, pt)
 	if err != nil {
 		return Result{}, err
 	}
 	var (
-		r    pdn.Result
-		mode = ModeNone
+		r pdn.Result
+		m core.Mode
 	)
-	if ik == pdn.FlexWatts {
-		tdp := float64(pt.TDP)
-		if pt.CState != C0 && tdp == 0 {
-			tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
-		}
+	if j.Kind == pdn.FlexWatts {
 		// Estimate Algorithm 1's inputs from the scenario the way the PMU
 		// does at runtime — the same path flexwattsd's /v1/evaluate takes,
 		// so library and service report identical numbers for a point.
-		m := c.pred.Predict(core.InputsFromScenario(s, tdp))
-		r, err = c.flex.EvaluateMode(s, m)
-		mode = modeFromInternal(m)
+		m = c.pred.Predict(core.InputsFromScenario(j.Scenario, j.TDP))
+		r, err = c.flex.EvaluateMode(j.Scenario, m)
 	} else if c.cache != nil {
-		r, err = c.cache.Evaluate(c.baselines[ik], s)
+		r, err = c.cache.Evaluate(c.baselines[j.Kind], j.Scenario)
 	} else {
-		r, err = c.baselines[ik].Evaluate(s)
+		r, err = c.baselines[j.Kind].Evaluate(j.Scenario)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res := resultFromInternal(r, mode)
-	res.CState = pt.CState
-	return res, nil
+	return result(&j, &pt, &r, m), nil
 }
 
 // Evaluate evaluates the point on the PDN it names (pt.PDN; the zero value
@@ -236,78 +257,48 @@ func (c *Client) EvaluateMode(ctx context.Context, pt Point, mode Mode) (Result,
 	return res, nil
 }
 
-// warmBatch resolves a batch's static-baseline points through the batch
-// evaluation kernel before the per-point pass: valid points are grouped per
-// PDN kind into an SoA grid and each kind's cache misses evaluate in blocks
-// with hoisted per-kind invariants (one compiled-VR stage per grid, not one
-// model walk per point). The kernel is bitwise identical to Evaluate, so
-// the per-point pass then finds every baseline key hot and returns the same
-// bits it would have computed. Invalid points and FlexWatts points (whose
-// mode depends on the per-TDP predictor, not the scenario alone) are
-// skipped here and handled — with their exact error text and index — by
-// the per-point pass.
-func (c *Client) warmBatch(ctx context.Context, pts []Point) {
-	if c.cache == nil {
-		return
-	}
-	// At most four baseline kinds exist, so the grouping is a fixed array
-	// plus a linear scan, and the grids come from the client's arena: their
-	// column storage (and the result blocks) recycle across EvaluateBatch
-	// calls instead of allocating per call.
-	var kinds [4]pdn.Kind
-	var leases [4]*pdn.GridLease
-	nl := 0
-	for _, pt := range pts {
-		if pt.Validate() != nil {
-			continue
-		}
-		ik, err := internalKind(pt.PDN)
-		if err != nil || ik == pdn.FlexWatts {
-			continue
-		}
-		s, err := c.scenario(pt)
-		if err != nil {
-			continue
-		}
-		t := 0
-		for t < nl && kinds[t] != ik {
-			t++
-		}
-		if t == nl {
-			kinds[t] = ik
-			leases[t] = c.arena.Get()
-			nl++
-		}
-		leases[t].Grid().Append(s)
-	}
-	for t := 0; t < nl; t++ {
-		g := leases[t].Grid()
-		//nolint:errcheck // cache warmer: the per-point pass re-reports failures
-		sweep.GridMapCtx(ctx, c.workers, c.cache, c.baselines[kinds[t]], g, leases[t].Results(g.Len()), 0)
-		leases[t].Release()
-	}
-}
-
-// EvaluateBatch evaluates every point concurrently on the deterministic
-// sweep engine (results in input order; the worker bound comes from
-// WithWorkers). Cancelling ctx aborts the batch: workers stop pulling new
-// points and the call returns context.Cause(ctx). Per-point failures
-// report the lowest failing index, the same error a serial loop would stop
-// on.
-//
-// When the memoizing cache is enabled (the default), static-baseline
-// points route through the batch evaluation kernel first — see warmBatch —
-// so large rectangular grids evaluate at grid throughput while results,
-// ordering and errors stay exactly those of the per-point path.
+// EvaluateBatch evaluates every point and returns the results in input
+// order. Points are validated first, in index order; the batch then runs
+// as one grouped pass — one grid-kernel call per PDN bucket (the four
+// baselines, and FlexWatts split by the mode Algorithm 1 predicts), spread
+// over the WithWorkers pool — bypassing the evaluation cache. The kernels
+// are bitwise identical to the scalar models, so every result equals
+// Evaluate's for the same point. Cancelling ctx aborts the batch and the
+// call returns context.Cause(ctx). A failure reports the lowest failing
+// index, the same error a serial loop would stop on.
 func (c *Client) EvaluateBatch(ctx context.Context, pts []Point) ([]Result, error) {
-	c.warmBatch(ctx, pts)
-	return sweep.MapCtx(ctx, c.workers, len(pts), func(i int) (Result, error) {
-		r, err := c.evaluate(pts[i].PDN, pts[i])
+	if err := ctx.Err(); err != nil {
+		return nil, context.Cause(ctx)
+	}
+	if len(pts) == 0 {
+		return nil, nil
+	}
+	jobs := make([]core.Job, len(pts))
+	for i, pt := range pts {
+		j, err := c.job(pt.PDN, pt)
 		if err != nil {
-			return Result{}, fmt.Errorf("point %d: %w", i, err)
+			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
-		return r, nil
+		jobs[i] = j
+	}
+	out := make([]Result, len(pts))
+	failed, failedAt := error(nil), len(pts)
+	err := c.batch.Evaluate(ctx, c.workers, jobs, func(i int, m core.Mode, r *pdn.Result, err error) {
+		if err != nil {
+			if i < failedAt {
+				failed, failedAt = err, i
+			}
+			return
+		}
+		out[i] = result(&jobs[i], &pts[i], r, m)
 	})
+	if err != nil {
+		return nil, err
+	}
+	if failed != nil {
+		return nil, fmt.Errorf("point %d: %w", failedAt, failed)
+	}
+	return out, nil
 }
 
 // Phase is one interval of a workload trace: the platform stays at one

@@ -40,6 +40,9 @@ func FuzzEvaluateRequest(f *testing.F) {
 	f.Add([]byte(`{"points":[{"pdn":"MBVR","tdp":50,"workload":"multi-thread","ar":5e-324}]}`))
 	f.Add([]byte(`{"points":[{"pdn":"FlexWatts","tdp":50,"workload":"multi-thread","ar":1e-300}]}`))
 	f.Add([]byte(`{"points":[{"pdn":"MBVR","tdp":50,"workload":"multi-thread","ar":1e-83}]}`))
+	// Bytes after the request value, once silently ignored.
+	f.Add([]byte(`{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]}garbage`))
+	f.Add([]byte(`{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]} {"points":[]}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()

@@ -69,7 +69,6 @@ type serverMetrics struct {
 	inflightPoints *metrics.Gauge
 	pointsTotal    *metrics.Counter
 	streamedTotal  *metrics.Counter
-	gridWarmPoints *metrics.Counter
 	panics         *metrics.Counter
 
 	optimizeInflight   *metrics.Gauge
@@ -113,8 +112,6 @@ func newServerMetrics(cache *sweep.Cache, start time.Time) *serverMetrics {
 		"Evaluation points completed, buffered and streamed.")
 	m.streamedTotal = reg.Counter("flexwattsd_points_streamed_total",
 		"Evaluation points delivered over /v1/evaluate/stream.")
-	m.gridWarmPoints = reg.Counter("flexwattsd_grid_warm_points_total",
-		"Baseline points routed through the batch-kernel warm pass.")
 	m.panics = reg.Counter("flexwattsd_panics_total",
 		"Handler panics recovered by the serving middleware.")
 	m.optimizeInflight = reg.Gauge("flexwattsd_optimize_inflight",

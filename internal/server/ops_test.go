@@ -148,6 +148,8 @@ func TestEvaluateStreamRejectsBeforeStreaming(t *testing.T) {
 		{"malformed", `{`, http.StatusBadRequest},
 		{"empty", `{"points":[]}`, http.StatusBadRequest},
 		{"bad pdn", `{"points":[{"pdn":"XVR","tdp":4,"workload":"graphics","ar":0.5}]}`, http.StatusBadRequest},
+		{"trailing garbage", `{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]}garbage`, http.StatusBadRequest},
+		{"second value", `{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]} {"points":[]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/evaluate/stream", "application/json", strings.NewReader(tc.body))

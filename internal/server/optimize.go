@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -66,15 +65,7 @@ func (s *Server) buildOptimizeSpec(req api.OptimizeRequest) (optimize.Spec, erro
 // response (uniform api.Error envelope) has been written and ok is false.
 func (s *Server) decodeOptimizeRequest(w http.ResponseWriter, r *http.Request) (optimize.Spec, bool) {
 	var req api.OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, fmt.Errorf("%w: request body exceeds %d bytes", api.ErrBatchTooLarge, tooBig.Limit))
-		} else {
-			writeErr(w, fmt.Errorf("%w: bad request body: %v", api.ErrInvalidSpec, err))
-		}
+	if !s.decodeBody(w, r, &req, api.ErrInvalidSpec) {
 		return optimize.Spec{}, false
 	}
 	spec, err := s.buildOptimizeSpec(req)

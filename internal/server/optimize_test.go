@@ -100,6 +100,8 @@ func TestOptimizeErrors(t *testing.T) {
 		{"bad strategy", `{"tdp":15,"strategy":"genetic"}`, "invalid_spec", http.StatusBadRequest},
 		{"bad tdp", `{"tdp":900}`, "invalid_spec", http.StatusBadRequest},
 		{"bad scale", `{"tdp":15,"vr_scales":[99]}`, "invalid_spec", http.StatusBadRequest},
+		{"trailing garbage", `{"tdp":15}garbage`, "invalid_spec", http.StatusBadRequest},
+		{"second value", `{"tdp":15} {"tdp":25}`, "invalid_spec", http.StatusBadRequest},
 	}
 	for _, path := range []string{"/v1/optimize", "/v1/optimize/stream"} {
 		for _, tc := range cases {

@@ -1,17 +1,18 @@
 // Package server implements flexwattsd's HTTP/JSON API: a long-lived
 // serving layer over the experiments registry and the zero-alloc PDN
-// evaluation core. Every request shares one experiments.Env — and therefore
-// one sharded sweep.Cache — so concurrent clients hit memoized evaluation
-// cells instead of recomputing the paper's grids, and experiment datasets
-// themselves are computed at most once per process and re-rendered per
-// request.
+// evaluation core. Every request shares one experiments.Env: experiment
+// datasets are computed at most once per process and re-rendered per
+// request, and evaluate batches run as one grouped grid-kernel pass per
+// request (core.Batch), bypassing the evaluation cache, whose one-off keys
+// would cost more to store than to recompute.
 //
 // The wire vocabulary — request/response bodies, endpoint paths, typed
 // sentinel errors and their status mapping — lives in repro/flexwatts/api,
 // shared with the flexwatts/client SDK so the two can never drift. Errors
 // become statuses in exactly one place (writeErr via api.StatusFor), and
 // /v1/evaluate batches run on the request's context, so a disconnected or
-// cancelled client aborts the in-flight sweep instead of burning the pool.
+// cancelled client aborts the in-flight pass instead of burning the pool.
+// JSON responses are compact: one line plus a trailing newline.
 //
 // Endpoints:
 //
@@ -38,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -54,8 +56,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/optimize"
 	"repro/internal/pdn"
-	"repro/internal/sweep"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -86,9 +86,10 @@ type Options struct {
 	// RetryAfter is the hint written on 503 shed responses; <= 0 means
 	// 1s. (429 responses compute their hint from the bucket's refill.)
 	RetryAfter time.Duration
-	// StreamWindow bounds how many results /v1/evaluate/stream holds for
-	// in-order delivery; <= 0 means 4× the worker count. Memory per
-	// stream is O(window), never O(points).
+	// StreamWindow is how many points /v1/evaluate/stream evaluates (and
+	// holds for in-order delivery) per chunk; <= 0 means
+	// DefaultStreamWindow. Memory per stream is O(window), never
+	// O(points).
 	StreamWindow int
 	// StreamWriteTimeout bounds how long one streamed chunk may take to
 	// reach the client: the stream handler re-arms a rolling write
@@ -118,6 +119,10 @@ const (
 	DefaultMaxBodyBytes = 8 << 20
 	// DefaultRetryAfter is the 503 Retry-After hint.
 	DefaultRetryAfter = time.Second
+	// DefaultStreamWindow is the /v1/evaluate/stream chunk size when
+	// Options.StreamWindow is unset: large enough that each chunk's
+	// grid-kernel calls amortize their per-call setup.
+	DefaultStreamWindow = 256
 	// DefaultStreamWriteTimeout is the per-chunk write deadline on
 	// /v1/evaluate/stream.
 	DefaultStreamWriteTimeout = 30 * time.Second
@@ -142,9 +147,10 @@ type Server struct {
 	// the environment's platform, parameters and evaluation cache.
 	optBudget *pointBudget
 	opt       optimize.Engine
-	// arena recycles the warm-pass grid + result blocks across evaluate
-	// requests, so the batch prepass stops costing one grid allocation
-	// per request under steady load.
+	// batch is the evaluate routes' grouped pass; arena recycles its
+	// bucket grid + result blocks across requests, so steady load costs
+	// no grid allocation per request.
+	batch *core.Batch
 	arena pdn.GridArena
 }
 
@@ -171,6 +177,9 @@ func New(env *experiments.Env, opts Options) *Server {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = DefaultRetryAfter
 	}
+	if opts.StreamWindow <= 0 {
+		opts.StreamWindow = DefaultStreamWindow
+	}
 	if opts.StreamWriteTimeout <= 0 {
 		opts.StreamWriteTimeout = DefaultStreamWriteTimeout
 	}
@@ -196,8 +205,9 @@ func New(env *experiments.Env, opts Options) *Server {
 			Workers:  opts.Workers,
 		},
 	}
+	s.batch = core.NewBatch(env.Baselines, env.Flex, env.Predictor, &s.arena)
 	m.reg.CounterFunc("flexwattsd_grid_arena_gets_total",
-		"Grid arena lease checkouts by the evaluate handlers' warm pass.",
+		"Grid arena lease checkouts by the evaluate handlers' batch pass.",
 		func() float64 { gets, _ := s.arena.Stats(); return float64(gets) })
 	m.reg.CounterFunc("flexwattsd_grid_arena_reuses_total",
 		"Grid arena checkouts satisfied by a recycled lease.",
@@ -270,7 +280,7 @@ func (s *Server) dataset(id string) (*report.Dataset, error) {
 // path: the JSON encoder and its backing buffer survive across requests,
 // so a steady batch load reuses one grown buffer per concurrent request
 // instead of allocating encoder state and response bytes each time. The
-// bytes produced are identical to writeJSON's (same indent, same trailing
+// bytes produced are identical to writeJSON's (compact JSON, one trailing
 // newline from Encode); only the allocation profile changes.
 type evalCodec struct {
 	buf bytes.Buffer
@@ -280,7 +290,6 @@ type evalCodec struct {
 var evalCodecPool = sync.Pool{New: func() any {
 	c := &evalCodec{}
 	c.enc = json.NewEncoder(&c.buf)
-	c.enc.SetIndent("", "  ")
 	return c
 }}
 
@@ -309,13 +318,12 @@ func writeJSONPooled(w http.ResponseWriter, status int, v interface{}) {
 	}
 }
 
-// writeJSON renders v as the response body.
+// writeJSON renders v as the response body: compact JSON and a trailing
+// newline.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // response already committed
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // response already committed
 }
 
 // writeErr is the single place where errors become HTTP responses: the api
@@ -420,31 +428,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	b.WriteTo(w) //nolint:errcheck // client gone, nothing to do
 }
 
-// evalJob is a validated point ready for the sweep pool.
-type evalJob struct {
-	kind     pdn.Kind
-	scenario pdn.Scenario
-	tdp      units.Watt
-}
-
 // buildJob validates one request point into an evaluable job. Parsing and
 // validation are the library's: the wire point becomes a typed
 // flexwatts.Point (api.EvalPoint.Point) and Point.Validate applies the one
 // set of rules, so the daemon can never drift from what the library
 // considers a valid point; only the scenario construction is local.
-func (s *Server) buildJob(p api.EvalPoint) (evalJob, error) {
+func (s *Server) buildJob(p api.EvalPoint) (core.Job, error) {
 	pt, err := p.Point()
 	if err != nil {
-		return evalJob{}, err
+		return core.Job{}, err
 	}
 	if err := pt.Validate(); err != nil {
-		return evalJob{}, err
+		return core.Job{}, err
 	}
 	// The typed and internal enums share the paper's spelling, so the
 	// String/Parse round trip is the conversion.
 	kind, err := pdn.ParseKind(pt.PDN.String())
 	if err != nil {
-		return evalJob{}, err
+		return core.Job{}, err
 	}
 	tdp := float64(pt.TDP)
 	if pt.CState != flexwatts.C0 {
@@ -452,41 +453,58 @@ func (s *Server) buildJob(p api.EvalPoint) (evalJob, error) {
 		// fig4j/fig8c scenarios; the TDP only steers FlexWatts' predictor.
 		cstate, err := domain.ParseCState(pt.CState.String())
 		if err != nil {
-			return evalJob{}, err
+			return core.Job{}, err
 		}
 		if tdp == 0 {
 			tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
 		}
-		return evalJob{kind: kind, scenario: workload.CStateScenario(s.env.Platform, cstate), tdp: tdp}, nil
+		return core.Job{Kind: kind, Scenario: workload.CStateScenario(s.env.Platform, cstate), TDP: tdp}, nil
 	}
 	wt, err := workload.ParseType(pt.Workload.String())
 	if err != nil {
-		return evalJob{}, err
+		return core.Job{}, err
 	}
 	sc, err := workload.TDPScenario(s.env.Platform, tdp, wt, pt.AR)
 	if err != nil {
-		return evalJob{}, err
+		return core.Job{}, err
 	}
-	return evalJob{kind: kind, scenario: sc, tdp: tdp}, nil
+	return core.Job{Kind: kind, Scenario: sc, TDP: tdp}, nil
+}
+
+// decodeBody decodes exactly one JSON value from a size-capped request
+// body into v: unknown fields and anything but whitespace after the value
+// are rejected. On failure it writes the error response — 413 for an
+// overflowing body, 400 wrapping invalid otherwise — and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, invalid error) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		} else if err == io.EOF {
+			return true
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, fmt.Errorf("%w: request body exceeds %d bytes", api.ErrBatchTooLarge, tooBig.Limit))
+	} else {
+		writeErr(w, fmt.Errorf("%w: bad request body: %v", invalid, err))
+	}
+	return false
 }
 
 // decodeEvalRequest reads and validates an evaluate request body into
-// sweep-ready jobs — shared by the buffered and streaming endpoints, so
-// the two accept exactly the same points. On failure the error response
-// (uniform api.Error envelope) has been written and ok is false. A body
-// exceeding MaxBodyBytes is shed as api.ErrBatchTooLarge (413), matching
-// the point-count cap it approximates.
-func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []evalJob, ok bool) {
+// jobs — shared by the buffered and streaming endpoints, so the two
+// accept exactly the same points. On failure the error response (uniform
+// api.Error envelope) has been written and ok is false; an invalid point
+// reports the lowest failing index. A body exceeding MaxBodyBytes is shed
+// as api.ErrBatchTooLarge (413), matching the point-count cap it
+// approximates.
+func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []core.Job, ok bool) {
 	var req api.EvalRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, fmt.Errorf("%w: request body exceeds %d bytes", api.ErrBatchTooLarge, tooBig.Limit))
-		} else {
-			writeErr(w, fmt.Errorf("%w: bad request body: %v", api.ErrInvalidPoint, err))
-		}
+	if !s.decodeBody(w, r, &req, api.ErrInvalidPoint) {
 		return nil, false
 	}
 	if len(req.Points) == 0 {
@@ -498,11 +516,14 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs
 			api.ErrBatchTooLarge, len(req.Points), s.opts.MaxBatch))
 		return nil, false
 	}
-	jobs = make([]evalJob, len(req.Points))
+	jobs = make([]core.Job, len(req.Points))
 	for i, p := range req.Points {
 		job, err := s.buildJob(p)
 		if err != nil {
-			writeErr(w, fmt.Errorf("point %d: %w: %v", i, api.ErrInvalidPoint, err))
+			if !errors.Is(err, api.ErrInvalidPoint) {
+				err = fmt.Errorf("%w: %v", api.ErrInvalidPoint, err)
+			}
+			writeErr(w, fmt.Errorf("point %d: %w", i, err))
 			return nil, false
 		}
 		jobs[i] = job
@@ -510,63 +531,28 @@ func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs
 	return jobs, true
 }
 
-// warmGrid resolves a batch's baseline points through the batch kernel
-// before the per-point sweep: jobs are grouped per PDN kind into an SoA
-// grid and the cache misses of each kind evaluate in blocks with hoisted
-// per-kind invariants (internal/pdn/grid.go) instead of one scalar model
-// run per point. Purely a cache warmer — the kernel is bitwise identical
-// to Evaluate, so the per-point pass then finds every baseline key hot and
-// the response bytes cannot change. Errors (an invalid point, a cancelled
-// request) are deliberately dropped here: the per-point pass reports them
-// with the request's exact error shape and index. FlexWatts points stay
-// scalar — their mode comes from the per-TDP predictor, not the scenario
-// alone, so they are not cacheable by scenario key.
-func (s *Server) warmGrid(r *http.Request, jobs []evalJob) {
-	// Group per kind into arena-leased grids: at most four baseline kinds
-	// exist, so a fixed array plus a linear scan replaces the old per-call
-	// map, and the leases recycle their column storage across requests —
-	// the warm pass allocates nothing once the arena is hot.
-	var kinds [4]pdn.Kind
-	var leases [4]*pdn.GridLease
-	nl := 0
-	for _, j := range jobs {
-		if j.kind == pdn.FlexWatts {
-			continue
+// evaluate runs jobs through the server's grouped batch pass and hands
+// each point's wire result, or its error, to emit. Only a cancelled
+// request returns an error.
+func (s *Server) evaluate(r *http.Request, workers int, jobs []core.Job, emit func(i int, res api.EvalResult, err error)) error {
+	evaluated := 0
+	err := s.batch.Evaluate(r.Context(), workers, jobs, func(i int, _ core.Mode, res *pdn.Result, err error) {
+		if err != nil {
+			emit(i, api.EvalResult{}, err)
+			return
 		}
-		t := 0
-		for t < nl && kinds[t] != j.kind {
-			t++
-		}
-		if t == nl {
-			kinds[t] = j.kind
-			leases[t] = s.arena.Get()
-			nl++
-		}
-		leases[t].Grid().Append(j.scenario)
-	}
-	for t := 0; t < nl; t++ {
-		g := leases[t].Grid()
-		s.metrics.gridWarmPoints.Add(int64(g.Len()))
-		//nolint:errcheck // cache warmer: the sweep re-reports any failure
-		sweep.GridMapCtx(r.Context(), s.workers(), s.env.Cache, s.env.Baselines[kinds[t]], g, leases[t].Results(g.Len()), 0)
-		leases[t].Release()
-	}
-}
-
-// evalOne evaluates one job, with results flowing through the shared env
-// cache for baseline kinds.
-func (s *Server) evalOne(job evalJob) (pdn.Result, error) {
-	if job.kind == pdn.FlexWatts {
-		return core.NewAutoModel(s.env.Flex, s.env.Predictor, job.tdp).Evaluate(job.scenario)
-	}
-	return s.env.Eval(job.kind, job.scenario)
+		evaluated++
+		emit(i, wireResult(&jobs[i], res), nil)
+	})
+	s.metrics.pointsTotal.Add(int64(evaluated))
+	return err
 }
 
 // wireResult renders an evaluation into its wire form.
-func wireResult(job evalJob, res pdn.Result) api.EvalResult {
+func wireResult(job *core.Job, res *pdn.Result) api.EvalResult {
 	return api.EvalResult{
-		PDN:    job.kind.String(),
-		CState: job.scenario.CState.String(),
+		PDN:    job.Kind.String(),
+		CState: job.Scenario.CState.String(),
 		ETEE:   res.ETEE,
 		PNom:   res.PNomTotal,
 		PIn:    res.PIn,
@@ -574,6 +560,11 @@ func wireResult(job evalJob, res pdn.Result) api.EvalResult {
 	}
 }
 
+// handleEvaluate is POST /v1/evaluate: the batch runs as one grouped
+// pass (core.Batch) on the request's context with the request-scoped
+// worker bound, bypassing the evaluation cache — every point of a batch
+// costs one grid-kernel evaluation. A cancelled request (client
+// disconnect, deadline) stops the pass between chunks and writes nothing.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodPost) {
 		return
@@ -588,33 +579,27 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Batch through the sweep engine on the request's context with the
-	// request-scoped worker bound; baseline evaluations dedupe through the
-	// shared env cache, so a hot scenario costs one evaluation per
-	// process, not per request. A cancelled request (client disconnect,
-	// deadline) stops the sweep mid-batch: workers pull no further points.
-	workers := s.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(s.workers(), len(jobs))
 	s.metrics.inflightSweeps.Add(1)
 	defer s.metrics.inflightSweeps.Add(-1)
-	s.warmGrid(r, jobs)
-	results, err := sweep.MapCtx(r.Context(), workers, len(jobs), func(i int) (api.EvalResult, error) {
-		res, err := s.evalOne(jobs[i])
+	results := make([]api.EvalResult, len(jobs))
+	failed, failedAt := error(nil), len(jobs)
+	err := s.evaluate(r, workers, jobs, func(i int, res api.EvalResult, err error) {
 		if err != nil {
-			return api.EvalResult{}, fmt.Errorf("%w: point %d: %v", api.ErrEvaluation, i, err)
-		}
-		s.metrics.pointsTotal.Inc()
-		return wireResult(jobs[i], res), nil
-	})
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone (disconnect or deadline): there is no one
-			// to answer. The aborted sweep already freed the pool.
+			if i < failedAt {
+				failed, failedAt = err, i
+			}
 			return
 		}
-		writeErr(w, err)
+		results[i] = res
+	})
+	if err != nil {
+		// The client is gone (disconnect or deadline): there is no one
+		// to answer. The aborted pass already freed the pool.
+		return
+	}
+	if failed != nil {
+		writeErr(w, fmt.Errorf("%w: point %d: %v", api.ErrEvaluation, failedAt, failed))
 		return
 	}
 	writeJSONPooled(w, http.StatusOK, api.EvalResponse{Results: results, Workers: workers})

@@ -284,6 +284,10 @@ func TestEvaluateErrors(t *testing.T) {
 		// handler panic (500) for MBVR, p_in ≈ 1e298 W (200) for FlexWatts.
 		{"vanishing ar", `{"points":[{"pdn":"MBVR","tdp":50,"workload":"multi-thread","ar":5e-324}]}`, http.StatusBadRequest},
 		{"tiny ar", `{"points":[{"pdn":"FlexWatts","tdp":50,"workload":"multi-thread","ar":1e-300}]}`, http.StatusBadRequest},
+		// Bytes after the request value used to be ignored (200).
+		{"trailing garbage", `{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]}garbage`, http.StatusBadRequest},
+		{"second value", `{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6}]} {"points":[]}`, http.StatusBadRequest},
+		{"trailing whitespace", "{\"points\":[{\"pdn\":\"IVR\",\"tdp\":18,\"workload\":\"multi-thread\",\"ar\":0.6}]}\n\t \r\n", http.StatusOK},
 	}
 	for _, tc := range cases {
 		code, body := postEvaluate(t, ts, tc.body)
@@ -315,26 +319,47 @@ func TestEvaluateBatchCap(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossRequests verifies the architectural point of the
-// long-lived service: a repeated evaluate batch must be served from the
-// shared memoizing cache, adding hits but no new keys.
-func TestSharedCacheAcrossRequests(t *testing.T) {
+// TestRepeatedEvaluateBypassesCache pins the evaluate routes' cache
+// bypass: a repeated batch answers byte-identical bodies on both routes
+// and leaves the shared evaluation cache untouched — no keys, hits or
+// misses added.
+func TestRepeatedEvaluateBypassesCache(t *testing.T) {
 	ts := testServer(t)
-	body := `{"points":[{"pdn":"I+MBVR","tdp":25,"workload":"graphics","ar":0.45}]}`
-	if code, b := postEvaluate(t, ts, body); code != http.StatusOK {
-		t.Fatalf("warm-up status %d: %s", code, b)
-	}
-	hits1, _ := envVal.Cache.Stats()
+	body := `{"points":[{"pdn":"I+MBVR","tdp":25,"workload":"graphics","ar":0.45},` +
+		`{"pdn":"FlexWatts","tdp":4,"workload":"single-thread","ar":0.5},{"pdn":"LDO","cstate":"C6"}]}`
+	hits, misses := envVal.Cache.Stats()
 	keys := envVal.Cache.Len()
-	if code, b := postEvaluate(t, ts, body); code != http.StatusOK {
-		t.Fatalf("repeat status %d: %s", code, b)
+	for _, path := range []string{"/v1/evaluate", "/v1/evaluate/stream"} {
+		code, first := postRaw(t, ts, path, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, code, first)
+		}
+		if code, again := postRaw(t, ts, path, body); code != http.StatusOK || again != first {
+			t.Errorf("%s: repeated request answered %d with different bytes:\n%s\n%s", path, code, first, again)
+		}
 	}
-	hits2, _ := envVal.Cache.Stats()
-	if hits2 <= hits1 {
-		t.Error("repeated request did not hit the shared cache")
+	if h, m := envVal.Cache.Stats(); h != hits || m != misses || envVal.Cache.Len() != keys {
+		t.Errorf("evaluate touched the cache: hits %d->%d, misses %d->%d, keys %d->%d",
+			hits, h, misses, m, keys, envVal.Cache.Len())
 	}
-	if envVal.Cache.Len() != keys {
-		t.Errorf("repeated request grew the cache from %d to %d keys", keys, envVal.Cache.Len())
+}
+
+// TestEvaluateInvalidPointMessage pins the 400 envelope of an invalid
+// point on both evaluate routes: the lowest failing index, the
+// invalid_point code, and the sentinel's text exactly once.
+func TestEvaluateInvalidPointMessage(t *testing.T) {
+	ts := testServer(t)
+	body := `{"points":[{"pdn":"IVR","tdp":18,"workload":"multi-thread","ar":0.6},` +
+		`{"pdn":"IVR","tdp":4,"workload":"mining","ar":0.5},{"pdn":"XVR","tdp":4,"workload":"graphics","ar":0.5}]}`
+	for _, path := range []string{"/v1/evaluate", "/v1/evaluate/stream"} {
+		code, b := postRaw(t, ts, path, body)
+		var e api.Error
+		if err := json.Unmarshal([]byte(b), &e); err != nil || code != http.StatusBadRequest || e.Code != "invalid_point" {
+			t.Fatalf("%s: status %d, body %s", path, code, b)
+		}
+		if !strings.HasPrefix(e.Message, "point 1: invalid point: ") || strings.Count(e.Message, "invalid point") != 1 {
+			t.Errorf("%s: message %q, want one %q after the index", path, e.Message, "invalid point")
+		}
 	}
 }
 

@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"repro/flexwatts/api"
-	"repro/internal/pdn"
-	"repro/internal/sweep"
 )
 
 // Streaming write tuning: results are buffered through a bufio.Writer and
 // the chunked response is flushed every flushEvery lines, so a 100k-point
 // stream costs hundreds of flushes, not 100k syscalls, while a client
-// still sees results arrive while the sweep runs.
+// still sees results arrive while the batch runs.
 const (
 	streamBufBytes = 32 << 10
 	flushEvery     = 64
@@ -40,15 +38,16 @@ var streamCodecPool = sync.Pool{New: func() any {
 
 // handleEvaluateStream is POST /v1/evaluate/stream: the same request body
 // as /v1/evaluate, answered as NDJSON — one api.EvalStreamResult per line,
-// in point order, written incrementally as the sweep produces them.
+// in point order, written incrementally as the batch is evaluated.
 //
-// The memory contract is the point of the endpoint: results flow from
-// sweep.StreamCtx through a bounded reorder window straight onto the wire,
-// so the server holds O(workers) results for a grid of any size instead of
-// buffering the full response. Per-point evaluation failures become
-// error lines (index-tagged, with the api wire code) and do not end the
-// stream; a mid-stream client disconnect cancels the sweep via the
-// request context.
+// The memory contract is the point of the endpoint: the points run through
+// the buffered route's grouped pass one StreamWindow-sized chunk at a
+// time, and each chunk's lines go straight onto the wire before the next
+// chunk starts, so the server holds O(window) results for a batch of any
+// size instead of buffering the full response. Per-point evaluation
+// failures become error lines (index-tagged, with the api wire code) and
+// do not end the stream; a mid-stream client disconnect cancels the pass
+// via the request context.
 //
 // Validation failures (malformed body, unknown vocabulary, batch cap) are
 // still whole-request errors: they are detected before the first byte is
@@ -67,10 +66,8 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	workers := s.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(s.workers(), len(jobs))
+	window := min(s.opts.StreamWindow, len(jobs))
 	// A long stream legitimately outlives any server-wide WriteTimeout, so
 	// this route manages its own: a rolling deadline re-armed before every
 	// flush. Each chunk gets StreamWriteTimeout to reach the client; only a
@@ -97,49 +94,45 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 
 	s.metrics.inflightSweeps.Add(1)
 	defer s.metrics.inflightSweeps.Add(-1)
-	// Warm the baseline keys through the batch kernel first (the jobs slice
-	// is already O(points), so the prepass scratch does not change the
-	// stream's memory order); the streaming sweep below then reads hot cache
-	// entries and delivers through its bounded window as before.
-	s.warmGrid(r, jobs)
-	lines := 0
-	// Errors returned by emit (encode/flush failures) mean the client is
-	// gone; StreamCtx cancels the sweep and we simply stop — there is no
-	// one left to tell, and the status line is long since committed.
-	//nolint:errcheck
-	sweep.StreamCtx(r.Context(), workers, s.opts.StreamWindow, len(jobs),
-		func(i int) (pdn.Result, error) {
-			res, err := s.evalOne(jobs[i])
-			if err == nil {
-				s.metrics.pointsTotal.Inc()
-			}
-			return res, err
-		},
-		func(i int, res pdn.Result, err error) error {
-			line := api.EvalStreamResult{Index: i}
+	lines := make([]api.EvalStreamResult, window)
+	results := make([]api.EvalResult, window)
+	written := 0
+	for lo := 0; lo < len(jobs); lo += window {
+		hi := min(lo+window, len(jobs))
+		err := s.evaluate(r, workers, jobs[lo:hi], func(i int, res api.EvalResult, err error) {
+			line := api.EvalStreamResult{Index: lo + i}
 			if err != nil {
 				line.Code = api.CodeFor(api.ErrEvaluation)
 				line.Error = err.Error()
 			} else {
-				wire := wireResult(jobs[i], res)
-				line.Result = &wire
+				results[i] = res
+				line.Result = &results[i]
 			}
-			if err := enc.Encode(&line); err != nil {
-				return err
+			lines[i] = line
+		})
+		if err != nil {
+			// The request was cancelled; the status line is long since
+			// committed and there is no one left to tell.
+			return
+		}
+		// An encode or flush failure means the client is gone: stop.
+		for i := range hi - lo {
+			if enc.Encode(&lines[i]) != nil {
+				return
 			}
 			s.metrics.streamedTotal.Inc()
-			lines++
-			if lines%flushEvery == 0 {
+			written++
+			if written%flushEvery == 0 {
 				extend()
-				if err := bw.Flush(); err != nil {
-					return err
+				if bw.Flush() != nil {
+					return
 				}
 				if flusher != nil {
 					flusher.Flush()
 				}
 			}
-			return nil
-		})
+		}
+	}
 	extend()
 	if err := bw.Flush(); err != nil {
 		return

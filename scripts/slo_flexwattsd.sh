@@ -21,7 +21,7 @@ GRID_RPS="${SLO_GRID_RPS:-5}"
 # Client worker counts for the grid sweep: each count re-runs the full
 # batch-size sweep, so the perf record shows per-batch-size p99 + evals/s
 # both serially and with concurrent requests contending for the daemon's
-# pooled arenas and cache shards.
+# pooled arenas.
 GRID_WORKERS="${SLO_GRID_WORKERS:-1 4}"
 # Optimizer search rate: each request is a 45-candidate design-space
 # search, far heavier than an evaluate batch, and the daemon admits only
@@ -45,7 +45,7 @@ for _ in $(seq 1 100); do
     fi
     sleep 0.2
 done
-curl -fsS "$BASE/healthz" | grep -q '"status": "ok"'
+curl -fsS "$BASE/healthz" | grep -q '"status":"ok"'
 
 echo "== loadgen: buffered endpoint (${RPS} rps, batch ${BATCH}, ${DURATION})"
 "$TMP/loadgen" -addr "$BASE" -rps "$RPS" -batch "$BATCH" -duration "$DURATION" \

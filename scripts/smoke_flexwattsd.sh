@@ -25,11 +25,11 @@ for _ in $(seq 1 100); do
     fi
     sleep 0.2
 done
-grep -q '"status": "ok"' "$OUT/health.json"
+grep -q '"status":"ok"' "$OUT/health.json"
 echo "   healthz ok"
 
 echo "== listing experiments"
-curl -fsS "$BASE/v1/experiments" | grep -q '"id": "fig7"'
+curl -fsS "$BASE/v1/experiments" | grep -q '"id":"fig7"'
 
 echo "== ascii body must equal the committed golden"
 curl -fsS "$BASE/v1/experiments/tab1?format=ascii" -o "$OUT/tab1.ascii"

@@ -81,14 +81,16 @@ smoke:
 slo:
 	BENCH_JSON=$(BENCH_JSON) BENCH_LABEL=$(SLO_LABEL) bash scripts/slo_flexwattsd.sh
 
-# Short-budget fuzz runs through the two real entry points: the daemon's
+# Short-budget fuzz runs through the two real entry points — the daemon's
 # evaluate request (decoded, then served through the handler) and the
-# library's Client.Evaluate. -fuzz accepts one package at a time, so two
-# sequential invocations.
+# library's Client.Evaluate — plus the grid memos against per-point
+# evaluation and the frozen reference. -fuzz accepts one package at a
+# time, so three sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./flexwatts
+	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateGrid$$' -fuzztime $(FUZZTIME) .
 
 # The benchmark program is its own module (flexbench/go.mod), so the root
 # targets never compile it; this builds, vets and tests it against the

@@ -164,11 +164,11 @@ func TestCacheHitAllocFree(t *testing.T) {
 	}
 }
 
-// TestEvaluateGridAllocFree pins the batch kernels at 0 allocs/op for a
-// whole 4128-point grid call — not merely per point: the SoA columns are
-// caller-owned, the runners are stack state, and the mask prepass uses a
-// fixed stack block, so nothing on the path may touch the heap. All five
-// PDN kinds plus FlexWatts in both hybrid modes.
+// TestEvaluateGridAllocFree pins grid runs at 0 allocs/op for a whole
+// 4128-point grid call — not merely per point: the grid and result block
+// are caller-owned and the run's memo is stack state, so nothing on the
+// path may touch the heap. All four static PDN kinds plus FlexWatts in
+// both hybrid modes.
 func TestEvaluateGridAllocFree(t *testing.T) {
 	e := benchEnv(t)
 	g := gridBenchGrid(t)

@@ -148,8 +148,9 @@ func BenchmarkEvaluateETEE(b *testing.B) {
 // gridBenchGrid builds the batch-evaluation benchmark grid: every workload
 // type × 32 TDP steps × 43 activity ratios = 4128 points, TDP-major with AR
 // innermost — the rectangular shape experiment drivers and batch API
-// clients submit, and the one the grid kernels' previous-point memos are
-// designed for.
+// clients submit. Consecutive points differ only in AR, so a grid run's
+// on-chip stage memo hits on ~98 % of them and the SA/IO board-rail memo
+// on all of them (see pdn.Memo).
 func gridBenchGrid(tb testing.TB) *pdn.Grid {
 	tb.Helper()
 	e := benchEnv(tb)
@@ -170,12 +171,14 @@ func gridBenchGrid(tb testing.TB) *pdn.Grid {
 	return g
 }
 
-// BenchmarkEvaluateGrid measures the batch evaluation kernel on the
-// 4128-point grid, reporting sustained points/s — the headline number the
-// CI perf gate tracks. Compare against BenchmarkEvaluateGridLooped (the
-// same grid through scalar Evaluate) or BenchmarkEvaluateETEE (one scalar
-// evaluation): the acceptance bar is ≥3× looped throughput. Sub-benchmarks
-// cover every static kind plus FlexWatts in both hybrid modes.
+// BenchmarkEvaluateGrid measures batch evaluation on the 4128-point grid,
+// reporting sustained points/s — the headline number the CI perf gate
+// tracks. A grid run takes Evaluate's per-point path plus the two
+// previous-point memos, so compare against BenchmarkEvaluateGridLooped
+// (the same grid through Evaluate) for what the memos buy: 1.4–4× per
+// kind on a 2-vCPU Xeon, least for MBVR, whose compute rails repeat no
+// work when only AR changes. Sub-benchmarks cover every static kind plus
+// FlexWatts in both hybrid modes.
 func BenchmarkEvaluateGrid(b *testing.B) {
 	e := benchEnv(b)
 	g := gridBenchGrid(b)
@@ -206,12 +209,12 @@ func BenchmarkEvaluateGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateGridLooped is the scalar baseline for the grid kernels:
-// the identical 4128-point grid through per-point Evaluate, with the same
-// points/s metric, so each kernel's speedup is one division away. The
-// top-level benchmark keeps the historical IVR-only shape (the BENCH_8
-// headline); sub-benchmarks add the per-kind scalar baselines so every
-// kernel is compared against its own scalar loop, not IVR's.
+// BenchmarkEvaluateGridLooped is the per-point baseline for grid runs: the
+// identical 4128-point grid through Evaluate, with the same points/s
+// metric, so each kind's memo speedup is one division away. The top-level
+// benchmark keeps the historical IVR-only shape (the BENCH_8 headline);
+// sub-benchmarks add the per-kind loops so every kind is compared against
+// its own Evaluate loop, not IVR's.
 func BenchmarkEvaluateGridLooped(b *testing.B) {
 	e := benchEnv(b)
 	g := gridBenchGrid(b)
@@ -236,11 +239,11 @@ func BenchmarkEvaluateGridLooped(b *testing.B) {
 
 // BenchmarkEvaluateGridParallel measures the full parallel grid pipeline —
 // GridMapCtx chunking the 4128-point grid over a worker pool, each chunk
-// running the shard-batched cache probe and the batch kernel — at 1, 2, 4
+// running the shard-batched cache probe and one EvaluateGrid call — at 1, 2, 4
 // and GOMAXPROCS workers (deduplicated, so a 4-core machine runs three
 // sub-benchmarks and an 8-core machine four). Each iteration starts from a
 // fresh cache: the measured work is the cold serving path a first-seen
-// request takes (probe, claim, kernel, store), which is where worker
+// request takes (probe, claim, evaluate, store), which is where worker
 // scaling matters. The chunk size is the adaptive default (chunk=0).
 // Compare points/s across the workers=N sub-benchmarks for the parallel
 // speedup; single-core hosts necessarily report flat numbers.

@@ -36,10 +36,12 @@ type config struct {
 // Option customizes a Client.
 type Option func(*config)
 
-// WithParams evaluates with a custom PDNspot parameter set (load-lines,
-// tolerance bands, sharing penalties) instead of the Table 2 calibration,
-// enabling the multi-dimensional architecture-space exploration the paper
-// describes.
+// WithParams evaluates with a custom PDNspot parameter set (supply
+// voltage, load-lines, tolerance bands, sharing penalties) instead of the
+// Table 2 calibration, enabling the multi-dimensional architecture-space
+// exploration the paper describes. The voltages, sharing penalty and
+// Iccmax limits must be positive and finite; the tolerance bands,
+// power-gate impedance and load-lines non-negative and finite.
 func WithParams(p Params) Option {
 	return func(c *config) { c.params = internalParams(p) }
 }
@@ -93,11 +95,15 @@ type Client struct {
 
 // NewClient constructs a Client with the paper's calibration,
 // characterizes the predictor's firmware ETEE tables, and applies the
-// given options.
+// given options. Parameters the models cannot be built with (see
+// WithParams) fail with an error wrapping ErrInvalidParams.
 func NewClient(opts ...Option) (*Client, error) {
 	cfg := config{params: pdn.DefaultParams(), cache: true}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if err := cfg.params.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}
 	if cfg.platform == nil {
 		cfg.platform = domain.NewClientPlatform()

@@ -41,6 +41,10 @@ var (
 	// spec (out-of-range TDP, empty or duplicate axes, oversized space,
 	// non-finite constraints).
 	ErrInvalidSpec = errors.New("flexwatts: invalid optimize spec")
+	// ErrInvalidParams wraps every rejection of a model parameter set
+	// NewClient cannot build the PDN models from (a non-positive supply
+	// voltage or Iccmax, a negative load-line, a non-finite value).
+	ErrInvalidParams = errors.New("flexwatts: invalid params")
 )
 
 // SPECCPU2006 returns the 29 SPEC CPU2006 benchmarks in Fig 7's order

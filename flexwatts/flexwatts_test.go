@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -175,6 +176,48 @@ func TestInvalidPoints(t *testing.T) {
 		if _, err := c.Evaluate(ctx, pt); !errors.Is(err, flexwatts.ErrInvalidPoint) {
 			t.Errorf("%s: err = %v, want ErrInvalidPoint", name, err)
 		}
+	}
+}
+
+// TestInvalidParams pins NewClient's parameter check: every field whose
+// bad value would otherwise panic while the regulators are built or a
+// point is evaluated fails with ErrInvalidParams instead.
+func TestInvalidParams(t *testing.T) {
+	cases := map[string]func(*flexwatts.Params){
+		"zero PSU":              func(p *flexwatts.Params) { p.PSU = 0 },
+		"negative PSU":          func(p *flexwatts.Params) { p.PSU = -7.2 },
+		"infinite PSU":          func(p *flexwatts.Params) { p.PSU = math.Inf(1) },
+		"NaN VIN level":         func(p *flexwatts.Params) { p.VINLevel = math.NaN() },
+		"zero share penalty":    func(p *flexwatts.Params) { p.FlexSharePenalty = 0 },
+		"zero IVR Iccmax":       func(p *flexwatts.Params) { p.IVRIccmax = 0 },
+		"negative SA Iccmax":    func(p *flexwatts.Params) { p.SAIccmax = -1 },
+		"infinite VIN Iccmax":   func(p *flexwatts.Params) { p.VINIccmax = math.Inf(1) },
+		"negative load-line":    func(p *flexwatts.Params) { p.CoresLL = -0.001 },
+		"NaN load-line":         func(p *flexwatts.Params) { p.IOLL = math.NaN() },
+		"negative guardband":    func(p *flexwatts.Params) { p.TOBLDO = -0.01 },
+		"infinite guardband":    func(p *flexwatts.Params) { p.TOBIVR = math.Inf(1) },
+		"negative gate R":       func(p *flexwatts.Params) { p.RPG = -0.001 },
+		"NaN gate R":            func(p *flexwatts.Params) { p.RPG = math.NaN() },
+		"negative IVR LL":       func(p *flexwatts.Params) { p.IVRInLL = -1 },
+		"infinite GFX Iccmax":   func(p *flexwatts.Params) { p.GfxIccmax = math.Inf(1) },
+		"negative IO Iccmax":    func(p *flexwatts.Params) { p.IOIccmax = -4 },
+		"zero cores Iccmax":     func(p *flexwatts.Params) { p.CoresIccmax = 0 },
+		"negative MBVR band":    func(p *flexwatts.Params) { p.TOBMBVR = -0.02 },
+		"negative LDO input LL": func(p *flexwatts.Params) { p.LDOInLL = -1 },
+	}
+	for name, mutate := range cases {
+		p := flexwatts.DefaultParams()
+		mutate(&p)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewClient panicked: %v", name, r)
+				}
+			}()
+			if _, err := flexwatts.NewClient(flexwatts.WithParams(p)); !errors.Is(err, flexwatts.ErrInvalidParams) {
+				t.Errorf("%s: err = %v, want ErrInvalidParams", name, err)
+			}
+		}()
 	}
 }
 

@@ -1,9 +1,11 @@
-// Grid-equivalence property test: the batch EvaluateGrid path must return
-// float64-bitwise-identical results to the scalar Evaluate loop (documented
-// bound ε = 0), for every PDN kind and both hybrid modes, on the real
-// platform parameters. Bitwise identity — not an epsilon band — is what
-// guarantees the experiment goldens stay byte-identical and that grid- and
-// scalar-resolved cache entries can coexist in one sweep.Cache.
+// Grid-equivalence property test: EvaluateGrid must return the results
+// the Evaluate loop returns, for every PDN kind and both hybrid modes, on
+// the real platform parameters. Both run the same per-point path; a grid
+// run adds only its previous-point memos (pdn.Memo), so equality — not an
+// epsilon band — is the contract. It is what keeps the experiment goldens
+// byte-identical and lets grid- and per-point-resolved cache entries
+// coexist in one sweep.Cache. reference_test.go pins both paths to the
+// frozen reference bit for bit.
 package repro_test
 
 import (
@@ -17,8 +19,8 @@ import (
 
 // gridEquivGrid builds the property grid: every workload type crossed with
 // TDP and activity-ratio sweeps (the shape experiment drivers and batch API
-// clients produce — AR innermost, so the stage memos are exercised in their
-// hit and miss regimes), plus the C-state ladder.
+// clients produce — AR innermost, so the memos are exercised in their hit
+// and miss regimes), plus the C-state ladder.
 func gridEquivGrid(tb testing.TB) *pdn.Grid {
 	tb.Helper()
 	e := benchEnv(tb)

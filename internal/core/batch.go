@@ -44,10 +44,10 @@ const (
 
 // Batch evaluates mixed-kind batches in one grouped pass: every point goes
 // to one of six buckets — the four baselines, and FlexWatts split by its
-// predicted mode — and each bucket is one grid-kernel call spread over the
-// worker pool. The kernels are bitwise identical to scalar Evaluate and
-// EvaluateMode, so a point's result does not depend on the batch it rides
-// in. A Batch is safe for concurrent use.
+// predicted mode — and each bucket is one EvaluateGrid/EvaluateGridMode
+// run spread over the worker pool. A grid run takes Evaluate's and
+// EvaluateMode's own per-point path, so a point's result does not depend
+// on the batch it rides in. A Batch is safe for concurrent use.
 type Batch struct {
 	models [numBuckets]pdn.Model
 	pred   *Predictor

@@ -14,7 +14,7 @@ import (
 
 // batchJobs returns a shuffled mixed batch: every PDN kind at 4, 18 and
 // 50 W for every workload type, plus every idle state, with two invalid
-// scenarios (non-positive PSU) among them.
+// scenarios (negative IO power) among them.
 func batchJobs(t *testing.T, plat *domain.Platform) (jobs []Job, invalid []int) {
 	t.Helper()
 	kinds := append(pdn.Kinds(), pdn.FlexWatts)
@@ -36,7 +36,7 @@ func batchJobs(t *testing.T, plat *domain.Platform) (jobs []Job, invalid []int) 
 	rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
 	invalid = []int{len(jobs) / 3, len(jobs) - 1}
 	for _, i := range invalid {
-		jobs[i].Scenario.PSU = -1
+		jobs[i].Scenario.Loads[domain.IO].PNom = -1
 	}
 	return jobs, invalid
 }

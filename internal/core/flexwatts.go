@@ -61,14 +61,14 @@ func (m Mode) String() string {
 // Model is the FlexWatts PDN. It implements pdn.Model; Evaluate uses the
 // currently configured mode, while EvaluateMode evaluates a specific one
 // (used by the predictor's offline table generation and by oracle
-// baselines). The zero mode is IVRMode.
+// baselines). The zero mode is IVRMode. Both modes' compute stages are
+// built at construction, each behind the shared V_IN rail and the
+// dedicated SA/IO rails.
 type Model struct {
 	params pdn.Params
-	ivr    *vr.Buck
-	ldo    *vr.LDO
-	vin    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	ivr    pdn.IVRStage
+	ldo    pdn.LDOStage
+	rails  pdn.StageRails
 	// mode is atomic because sweep workers share one Model: AutoModel
 	// records the mode it evaluates, and concurrent evaluations must not
 	// race on the field (each evaluation passes its mode explicitly).
@@ -77,13 +77,12 @@ type Model struct {
 
 // NewModel constructs a FlexWatts PDN with the given PDNspot parameters.
 func NewModel(p pdn.Params) *Model {
+	compute := domain.ComputeKinds()
 	return &Model{
 		params: p,
-		ivr:    vr.NewIVR("HybridIVR", p.IVRIccmax),
-		ldo:    vr.NewPlatformLDO("HybridLDO", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		ivr:    pdn.NewIVRStage(vr.NewIVR("HybridIVR", p.IVRIccmax), compute, p.TOBIVR, p.VINLevel),
+		ldo:    pdn.NewLDOStage(vr.NewPlatformLDO("HybridLDO", p.IVRIccmax), compute, p.TOBLDO),
+		rails:  pdn.NewStageRails(p, p.TOBLDO),
 	}
 }
 
@@ -110,46 +109,67 @@ func (m *Model) EvaluateMode(s pdn.Scenario, mode Mode) (pdn.Result, error) {
 	if err := pdn.Validate(&s); err != nil {
 		return pdn.Result{}, err
 	}
-	p := m.params
-	compute := []pdn.Load{
-		s.Loads[domain.Core0], s.Loads[domain.Core1],
-		s.Loads[domain.LLC], s.Loads[domain.GFX],
+	if err := checkMode(mode); err != nil {
+		return pdn.Result{}, err
 	}
+	var r pdn.Result
+	m.eval(&s, mode, nil, &r)
+	return r, nil
+}
 
+// EvaluateGrid evaluates every grid point into out[:g.Len()] using the
+// currently configured mode, bitwise identical to per-point Evaluate.
+func (m *Model) EvaluateGrid(g *pdn.Grid, out []pdn.Result) error {
+	return m.EvaluateGridMode(g, out, m.Mode())
+}
+
+// EvaluateGridMode evaluates every grid point in the given hybrid mode
+// through EvaluateMode's per-point path with one pdn.Memo for the run, so
+// each result is bitwise identical to EvaluateMode's; the first invalid
+// point stops the run with its error wrapped by pdn.GridPointError.
+func (m *Model) EvaluateGridMode(g *pdn.Grid, out []pdn.Result, mode Mode) error {
+	if err := pdn.CheckGridOut(g, out); err != nil {
+		return err
+	}
+	if err := checkMode(mode); err != nil {
+		return err
+	}
+	var memo pdn.Memo
+	pts := g.Scenarios()
+	for i := range pts {
+		if err := pdn.Validate(&pts[i]); err != nil {
+			return pdn.GridPointError(i, err)
+		}
+		out[i] = pdn.Result{}
+		m.eval(&pts[i], mode, &memo, &out[i])
+	}
+	return nil
+}
+
+func checkMode(mode Mode) error {
+	if mode != IVRMode && mode != LDOMode {
+		return fmt.Errorf("core: unknown mode %v", mode)
+	}
+	return nil
+}
+
+// eval accumulates a validated point's result in a known mode into the
+// zeroed *r; memo is nil outside grid runs.
+func (m *Model) eval(s *pdn.Scenario, mode Mode, memo *pdn.Memo, r *pdn.Result) {
+	p := &m.params
 	var st pdn.StageOut
 	var vinLevel units.Volt
 	var rll units.Ohm
-	switch mode {
-	case IVRMode:
+	if mode == IVRMode {
 		vinLevel = p.VINLevel
-		st = pdn.IVRStage(compute, m.ivr, p.TOBIVR, vinLevel, s.CState)
+		m.ivr.Eval(s, memo, &st)
 		rll = p.IVRInLL * p.FlexSharePenalty
-	case LDOMode:
-		vinLevel, st = pdn.LDOStage(compute, m.ldo, p.TOBLDO)
+	} else {
+		vinLevel = m.ldo.Eval(s, memo, &st)
 		rll = p.LDOInLL * p.FlexSharePenalty
-	default:
-		return pdn.Result{}, fmt.Errorf("core: unknown mode %v", mode)
 	}
-
-	var pin units.Watt
-	var bd pdn.Breakdown
-	var rails pdn.RailSet
-	if st.PIn > 0 {
-		rail := pdn.VinRail(m.vin, st, vinLevel, rll, s.PSU, s.CState, 1)
-		pin += rail.PIn
-		bd.Add(st.Breakdown)
-		bd.Add(rail.Breakdown)
-		rails.Append(rail.Rail)
-	}
-	saOut := pdn.BoardRail(m.sa, []pdn.Load{s.Loads[domain.SA]}, p.TOBLDO, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := pdn.BoardRail(m.io, []pdn.Load{s.Loads[domain.IO]}, p.TOBLDO, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	pin += saOut.PIn + ioOut.PIn
-	bd.Add(saOut.Breakdown)
-	bd.Add(ioOut.Breakdown)
-	rails.Append(saOut.Rail)
-	rails.Append(ioOut.Rail)
-
-	return pdn.Finish(pdn.FlexWatts, s.TotalNominal(), pin, bd, rails, rll), nil
+	pin := m.rails.Eval(&st, vinLevel, rll, s, memo, r)
+	pdn.Finish(r, pdn.FlexWatts, s.TotalNominal(), pin, rll)
 }
 
 // BestMode evaluates both modes on the scenario and returns the one with

@@ -75,8 +75,8 @@ func (e *Env) Eval(k pdn.Kind, s pdn.Scenario) (pdn.Result, error) {
 
 // EvalGrid evaluates baseline k on every grid point into out[:g.Len()],
 // through the same memoizing cache as Eval — same keys, same accounting —
-// with cache misses resolved by the batch kernel and chunks spread over the
-// env's worker pool. The kernel is bitwise identical to Evaluate, so a
+// with cache misses resolved by EvaluateGrid and chunks spread over the
+// env's worker pool. A grid run is bitwise identical to Evaluate, so a
 // driver converted from per-point Eval to EvalGrid renders byte-identical
 // datasets and shares cache entries with drivers that were not.
 func (e *Env) EvalGrid(k pdn.Kind, g *pdn.Grid, out []pdn.Result) error {

@@ -51,8 +51,9 @@ func Fig2a(e *Env) (*report.Dataset, error) {
 //
 // The TDP axis is a rectangular grid (same scenario evaluated under three
 // PDNs), so the driver goes through the batch path: one EvalGrid per kind
-// instead of 3×len(tdps) per-point Eval calls. The kernel's bitwise
-// contract keeps the rendered dataset — and the golden file — identical.
+// instead of 3×len(tdps) per-point Eval calls. A grid run is bitwise
+// identical to Evaluate, so the rendered dataset — and the golden file —
+// stay identical.
 func Fig2b(e *Env) (*report.Dataset, error) {
 	const ar = 0.56
 	tdps := workload.StandardTDPs()

@@ -38,9 +38,12 @@ type gbEntry struct {
 // gbCache is a 4-way set-associative, lock-free memo for GuardbandScale.
 // Each slot is an atomic pointer to an immutable entry: a hit is one cheap
 // hand hash, a pointer load and three float compares — far cheaper than
-// either math.Pow or a runtime map lookup. A miss fills the first empty way
-// of its set and only evicts (way 0, last writer wins) when the whole set
-// is full, so colliding hot keys coexist instead of thrashing allocations.
+// either math.Pow or a runtime map lookup. A set is kept newest first: a
+// miss inserts at way 0 and shifts the other entries one way down, into
+// the first empty way or, when the set is full, out of the last one. The
+// oldest entry is evicted, so keys a workload keeps revisiting stay
+// resident however many stale keys earlier workloads left in the set,
+// instead of thrashing allocations on one way.
 // GuardbandScale is a pure function, so a cached hit returns the exact
 // float bits the direct computation produced regardless of which goroutine
 // filled the slot.
@@ -81,24 +84,22 @@ func rawGuardbandScale(vnom, vgb units.Volt, fl float64) float64 {
 // must use rawGuardbandScale instead so it doesn't churn the cache.
 func GuardbandScale(vnom, vgb units.Volt, fl float64) float64 {
 	set := gbSet(vnom, vgb, fl)
-	insert := &gbCache[set]
-	haveEmpty := false
+	last := uint64(gbWays - 1)
 	for w := uint64(0); w < gbWays; w++ {
-		slot := &gbCache[set+w]
-		e := slot.Load()
+		e := gbCache[set+w].Load()
 		if e == nil {
-			if !haveEmpty {
-				haveEmpty = true
-				insert = slot
-			}
-			continue
+			last = w
+			break
 		}
 		if e.vnom == vnom && e.vgb == vgb && e.fl == fl {
 			return e.scale
 		}
 	}
 	v := rawGuardbandScale(vnom, vgb, fl)
-	insert.Store(&gbEntry{vnom: vnom, vgb: vgb, fl: fl, scale: v})
+	for w := last; w > 0; w-- {
+		gbCache[set+w].Store(gbCache[set+w-1].Load())
+	}
+	gbCache[set].Store(&gbEntry{vnom: vnom, vgb: vgb, fl: fl, scale: v})
 	return v
 }
 

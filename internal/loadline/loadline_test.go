@@ -127,3 +127,33 @@ func TestCompensateProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGuardbandCacheKeepsHotKeys pins the memo's replacement policy: once
+// a set is full of keys nobody asks for any more, two hot keys that
+// collide in it must both stay resident, so alternating between them
+// stops allocating after the first round.
+func TestGuardbandCacheKeepsHotKeys(t *testing.T) {
+	const vnom, vgb = 0.8, 0.02
+	var keys []float64 // leakage fractions whose keys share one set
+	target := gbSet(vnom, vgb, 0.5)
+	for i := 1; len(keys) < gbWays+2; i++ {
+		if fl := float64(i) / 1e7; gbSet(vnom, vgb, fl) == target {
+			keys = append(keys, fl)
+		}
+	}
+	for _, fl := range keys[:gbWays] {
+		GuardbandScale(vnom, vgb, fl) // stale fill
+	}
+	hotA, hotB := keys[gbWays], keys[gbWays+1]
+	if avg := testing.AllocsPerRun(20, func() {
+		GuardbandScale(vnom, vgb, hotA)
+		GuardbandScale(vnom, vgb, hotB)
+	}); avg != 0 {
+		t.Errorf("alternating two colliding hot keys: %.1f allocs per round, want 0", avg)
+	}
+	for _, fl := range []float64{hotA, hotB} {
+		if got, want := GuardbandScale(vnom, vgb, fl), rawGuardbandScale(vnom, vgb, fl); got != want {
+			t.Errorf("cached scale %g, direct %g", got, want)
+		}
+	}
+}

@@ -1,842 +1,60 @@
 package pdn
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/domain"
-	"repro/internal/loadline"
-	"repro/internal/units"
-	"repro/internal/vr"
-)
-
-// This file implements the batch evaluation path: a struct-of-arrays
-// scenario Grid plus per-model EvaluateGrid methods that hoist per-kind
-// invariants out of the inner loop. The contract with the scalar path is
-// bitwise identity: for every point i, EvaluateGrid writes the exact
-// float64 bits Evaluate(g.At(i)) returns, and fails with the exact error
-// Evaluate would return (wrapped with the point index). That bound — ε = 0,
-// not an approximation tolerance — is what lets the grid path share the
-// memoizing sweep cache and keep the experiment goldens byte-identical. It
-// holds because every hoisted computation is either the same pure function
-// evaluated once and replayed (stage memos, compiled vr.BuckOp constants
-// that are prefixes of the scalar left-associative expressions), or the
-// very same code path (loadline, validation, Finish) reading the same
-// values from columnar instead of struct storage.
-//
-// Three invariant classes are hoisted:
-//
-//   - compiled VR operating points (vr.BuckStates): the per-(Vin, power
-//     state) terms of the buck loss model, compiled once per grid (on-chip
-//     VRs have a fixed input rail) or once per distinct PSU voltage
-//     (off-chip VRs), replacing the per-point BuckParams copy and branch
-//     tree that dominate the scalar profile;
-//   - stage-output memos: the guardband+VR work of IVRStage/LDOStage
-//     depends on (PNom, VNom, FL) per domain — the application ratio AR
-//     enters only the peak-power accumulator — so across grid runs where
-//     only AR varies (load-generator batches, AR sweeps) the stage replays
-//     stored per-domain outputs and recomputes just the peak sum;
-//   - whole-rail memos: a BoardRail whose loads, package state and PSU
-//     repeat (the SA/IO rails, whose power is constant across TDP grids)
-//     returns its stored output wholesale.
-//
-// The runners read grid columns in place — no per-point Scenario is ever
-// materialized on the hot path (assembling one is a ~200-byte gather that
-// costs as much as the arithmetic it feeds). The memos are depth-1
-// (previous point) and live in per-call stack state, so EvaluateGrid is
-// safe for concurrent use and allocates nothing per point.
-
-// Grid is a batch of evaluation scenarios in struct-of-arrays layout:
-// one parallel slice per load field per domain, plus per-point package
-// state and PSU voltage. Column i across all slices is exactly the
-// Scenario returned by At(i); Append/Set/At convert between the two
-// representations. The zero Grid is empty and ready to Append into.
+// Grid is a batch of evaluation scenarios, the unit the models'
+// EvaluateGrid methods, the sweep engine and the request arenas work in.
+// A grid run evaluates its points in order through the same per-point
+// path as Evaluate, with a previous-point Memo (see Memo) carried from
+// one point to the next. The zero Grid is empty and ready to Append into.
 type Grid struct {
-	n      int
-	pnom   [domain.NumKinds][]units.Watt
-	vnom   [domain.NumKinds][]units.Volt
-	fl     [domain.NumKinds][]float64
-	ar     [domain.NumKinds][]float64
-	cstate []domain.CState
-	psu    []units.Volt
+	s []Scenario
 }
 
 // NewGrid returns an empty grid with capacity for n points.
-func NewGrid(n int) *Grid {
-	g := &Grid{}
-	for k := range g.pnom {
-		g.pnom[k] = make([]units.Watt, 0, n)
-		g.vnom[k] = make([]units.Volt, 0, n)
-		g.fl[k] = make([]float64, 0, n)
-		g.ar[k] = make([]float64, 0, n)
-	}
-	g.cstate = make([]domain.CState, 0, n)
-	g.psu = make([]units.Volt, 0, n)
-	return g
-}
+func NewGrid(n int) *Grid { return &Grid{s: make([]Scenario, 0, n)} }
 
-// GridOf builds a grid from a slice of scenarios.
+// GridOf builds a grid from a copy of a slice of scenarios.
 func GridOf(scenarios []Scenario) *Grid {
 	g := NewGrid(len(scenarios))
-	for _, s := range scenarios {
-		g.Append(s)
-	}
+	g.s = append(g.s, scenarios...)
 	return g
 }
 
 // Len returns the number of points.
-func (g *Grid) Len() int { return g.n }
+func (g *Grid) Len() int { return len(g.s) }
 
 // Append adds a scenario as the next point.
-func (g *Grid) Append(s Scenario) {
-	for k := range s.Loads {
-		g.pnom[k] = append(g.pnom[k], s.Loads[k].PNom)
-		g.vnom[k] = append(g.vnom[k], s.Loads[k].VNom)
-		g.fl[k] = append(g.fl[k], s.Loads[k].FL)
-		g.ar[k] = append(g.ar[k], s.Loads[k].AR)
-	}
-	g.cstate = append(g.cstate, s.CState)
-	g.psu = append(g.psu, s.PSU)
-	g.n++
-}
+func (g *Grid) Append(s Scenario) { g.s = append(g.s, s) }
 
 // Set overwrites point i.
-func (g *Grid) Set(i int, s Scenario) {
-	for k := range s.Loads {
-		g.pnom[k][i] = s.Loads[k].PNom
-		g.vnom[k][i] = s.Loads[k].VNom
-		g.fl[k][i] = s.Loads[k].FL
-		g.ar[k][i] = s.Loads[k].AR
-	}
-	g.cstate[i] = s.CState
-	g.psu[i] = s.PSU
-}
+func (g *Grid) Set(i int, s Scenario) { g.s[i] = s }
 
-// At gathers point i back into a Scenario.
-func (g *Grid) At(i int) Scenario {
-	var s Scenario
-	for k := range s.Loads {
-		s.Loads[k] = Load{
-			PNom: g.pnom[k][i],
-			VNom: g.vnom[k][i],
-			FL:   g.fl[k][i],
-			AR:   g.ar[k][i],
-		}
-	}
-	s.CState = g.cstate[i]
-	s.PSU = g.psu[i]
-	return s
-}
-
-// CStateAt returns the package power state of point i.
-func (g *Grid) CStateAt(i int) domain.CState { return g.cstate[i] }
-
-// PSUAt returns the supply voltage of point i.
-func (g *Grid) PSUAt(i int) units.Volt { return g.psu[i] }
-
-// TotalNominal returns ΣPNOM of point i, in Scenario.TotalNominal's
-// accumulation order (ascending domain kind) so the sum carries identical
-// float64 bits.
-func (g *Grid) TotalNominal(i int) units.Watt {
-	var sum units.Watt
-	for k := domain.Kind(0); k < domain.NumKinds; k++ {
-		sum += g.pnom[k][i]
-	}
-	return sum
-}
-
-// Validate checks point i against the scalar Validate invariants, reading
-// the columns in place. It mirrors Validate(&s) check for check — same
-// order, same predicates, same error values — which the grid error tests
-// pin, so EvaluateGrid rejects a point with exactly the scalar error.
-func (g *Grid) Validate(i int) error {
-	if psu := g.psu[i]; psu <= 0 {
-		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", psu)
-	}
-	active := false
-	for k := domain.Kind(0); k < domain.NumKinds; k++ {
-		pnom := g.pnom[k][i]
-		if pnom < 0 {
-			return fmt.Errorf("pdn: %v has negative power %g", domain.Kind(k), pnom)
-		}
-		if !(pnom > 0) {
-			continue
-		}
-		active = true
-		if vnom := g.vnom[k][i]; vnom <= 0 {
-			return fmt.Errorf("pdn: %v active with non-positive voltage %g", domain.Kind(k), vnom)
-		}
-		if ar := g.ar[k][i]; !(ar > 0 && ar <= 1) {
-			return fmt.Errorf("pdn: %v has AR %g outside (0,1]", domain.Kind(k), ar)
-		}
-		if fl := g.fl[k][i]; !(fl >= 0 && fl <= 1) {
-			return fmt.Errorf("pdn: %v has FL %g outside [0,1]", domain.Kind(k), fl)
-		}
-	}
-	if !active {
-		return ErrNoLoad
-	}
-	return nil
-}
-
-// Change masks: the kernel loops detect point-to-point repetition with one
-// column-major prepass per block instead of scattered per-runner key
-// compares. ChangeMasks writes, for each point, a bitmask of which fields
-// equal the previous point's: bits 0..NumKinds-1 flag "this domain's
-// AR-free load fields (PNom, VNom, FL) are unchanged", bits
-// NumKinds..2*NumKinds-1 flag "this domain's AR is unchanged", and the two
-// top bits flag the package state and PSU voltage. A runner then tests a
-// single precomputed mask against its needs — equality chains transitively
-// point to point, so "unchanged since my last full compute" is one AND+CMP.
-// Equality is float ==, exactly the predicate the depth-1 memos always
-// used: NaN compares unequal (forcing the full path, which behaves as the
-// scalar does), and ±0 drift is unobservable because a load with zero power
-// is inert in every hoisted quantity.
-const (
-	gridMaskARShift = uint(domain.NumKinds)
-	gridMaskCState  = uint16(1) << (2 * domain.NumKinds)
-	gridMaskPSU     = uint16(1) << (2*domain.NumKinds + 1)
-	gridMaskAllFree = uint16(1)<<domain.NumKinds - 1
-	gridMaskAllAR   = gridMaskAllFree << gridMaskARShift
-)
-
-// GridMaskBlock is the number of points a kernel prepasses at a time; the
-// mask buffer is a stack array of this size, keeping EvaluateGrid
-// allocation-free for grids of any length.
-const GridMaskBlock = 1024
-
-// kindsMask returns the AR-free change bits for a runner's load set,
-// optionally with the matching AR bits.
-func kindsMask(kinds []domain.Kind, withAR bool) uint16 {
-	var m uint16
-	for _, k := range kinds {
-		m |= 1 << k
-		if withAR {
-			m |= 1 << (gridMaskARShift + uint(k))
-		}
-	}
-	return m
-}
-
-// ChangeMasks fills masks[j] with the change bits of point lo+j relative to
-// point lo+j-1 (masks[0] is zero when lo is 0: the first point has no
-// predecessor and always takes the full path). The scan is column-major —
-// one sequential sweep per field column — which is what makes the prepass
-// cheaper than the per-point scattered compares it replaces.
-func (g *Grid) ChangeMasks(lo int, masks []uint16) {
-	for j := range masks {
-		masks[j] = 0
-	}
-	start := 0
-	if lo == 0 {
-		start = 1
-	}
-	for k := 0; k < int(domain.NumKinds); k++ {
-		pn, vn, fl, ar := g.pnom[k], g.vnom[k], g.fl[k], g.ar[k]
-		fbit := uint16(1) << k
-		abit := uint16(1) << (gridMaskARShift + uint(k))
-		for j := start; j < len(masks); j++ {
-			i := lo + j
-			m := masks[j]
-			if pn[i] == pn[i-1] && vn[i] == vn[i-1] && fl[i] == fl[i-1] {
-				m |= fbit
-			}
-			if ar[i] == ar[i-1] {
-				m |= abit
-			}
-			masks[j] = m
-		}
-	}
-	cs, ps := g.cstate, g.psu
-	for j := start; j < len(masks); j++ {
-		i := lo + j
-		if cs[i] == cs[i-1] {
-			masks[j] |= gridMaskCState
-		}
-		if ps[i] == ps[i-1] {
-			masks[j] |= gridMaskPSU
-		}
-	}
-}
-
-// GridPointRun memoizes the per-point validation and nominal-power sums of
-// a kernel loop. The checks and sums of Validate depend only on the AR-free
-// load fields plus the per-load AR range test, so across grid points where
-// only AR varies (the mask says every AR-free column repeats) the runner
-// re-checks just the changed ARs and replays the stored totals. The hit
-// path is sound because every skipped predicate ran on bit-identical inputs
-// when the memo was stored: same bits, same verdict, and the first failure
-// the scalar would report — all non-AR checks passing — is necessarily the
-// first failing changed AR in domain order, which the hit path reports
-// identically. Not safe for concurrent use.
-type GridPointRun struct {
-	valid    bool
-	total    units.Watt
-	computeP units.Watt
-}
-
-// Validate checks point i exactly as Grid.Validate (and therefore the
-// scalar Validate) does, taking point i's change mask from ChangeMasks; on
-// success it memoizes ΣPNOM and the compute subtotal for
-// TotalNominal/ComputeNominal.
-func (r *GridPointRun) Validate(g *Grid, i int, m uint16) error {
-	if psu := g.psu[i]; psu <= 0 {
-		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", psu)
-	}
-	if r.valid && m&gridMaskAllFree == gridMaskAllFree {
-		if m&gridMaskAllAR == gridMaskAllAR {
-			return nil
-		}
-		for k := domain.Kind(0); k < domain.NumKinds; k++ {
-			if m&(1<<(gridMaskARShift+uint(k))) != 0 {
-				continue
-			}
-			if !(g.pnom[k][i] > 0) {
-				continue
-			}
-			if ar := g.ar[k][i]; !(ar > 0 && ar <= 1) {
-				return fmt.Errorf("pdn: %v has AR %g outside (0,1]", k, ar)
-			}
-		}
-		return nil
-	}
-	r.valid = false
-	active := false
-	var total, computeP units.Watt
-	for k := domain.Kind(0); k < domain.NumKinds; k++ {
-		pnom := g.pnom[k][i]
-		if pnom < 0 {
-			return fmt.Errorf("pdn: %v has negative power %g", k, pnom)
-		}
-		total += pnom
-		if k.IsCompute() {
-			computeP += pnom
-		}
-		if !(pnom > 0) {
-			continue
-		}
-		active = true
-		if vnom := g.vnom[k][i]; vnom <= 0 {
-			return fmt.Errorf("pdn: %v active with non-positive voltage %g", k, vnom)
-		}
-		if ar := g.ar[k][i]; !(ar > 0 && ar <= 1) {
-			return fmt.Errorf("pdn: %v has AR %g outside (0,1]", k, ar)
-		}
-		if fl := g.fl[k][i]; !(fl >= 0 && fl <= 1) {
-			return fmt.Errorf("pdn: %v has FL %g outside [0,1]", k, fl)
-		}
-	}
-	if !active {
-		return ErrNoLoad
-	}
-	r.total, r.computeP = total, computeP
-	r.valid = true
-	return nil
-}
-
-// TotalNominal returns ΣPNOM of the last successfully validated point, in
-// Scenario.TotalNominal's accumulation order.
-func (r *GridPointRun) TotalNominal() units.Watt { return r.total }
-
-// ComputeNominal returns the compute-domain subtotal of the last
-// successfully validated point, in the scalar models' accumulation order.
-func (r *GridPointRun) ComputeNominal() units.Watt { return r.computeP }
+// At returns point i.
+func (g *Grid) At(i int) Scenario { return g.s[i] }
 
 // Reset truncates the grid to zero points, keeping capacity — the
 // building block for reusing one scratch grid across cache-miss blocks.
-func (g *Grid) Reset() {
-	for k := range g.pnom {
-		g.pnom[k] = g.pnom[k][:0]
-		g.vnom[k] = g.vnom[k][:0]
-		g.fl[k] = g.fl[k][:0]
-		g.ar[k] = g.ar[k][:0]
-	}
-	g.cstate = g.cstate[:0]
-	g.psu = g.psu[:0]
-	g.n = 0
-}
+func (g *Grid) Reset() { g.s = g.s[:0] }
 
-// extend grows *s to length n — reusing capacity when it suffices,
-// reallocating otherwise — and returns the slice for indexed writes.
-func extend[T any](s *[]T, n int) []T {
-	if cap(*s) >= n {
-		*s = (*s)[:n]
-	} else {
-		*s = make([]T, n)
-	}
-	return *s
-}
-
-// Gather resets g to the points of src selected by indices, in order —
-// the column-wise counterpart of an At/Append loop, which materializes a
-// ~200-byte Scenario per point just to scatter it back into columns.
-// Like Append, Gather copies into g's own backing arrays and never
-// aliases src's storage: mutating the gathered grid cannot corrupt src.
-// src must be a different grid than g.
+// Gather resets g to the points of src selected by indices, in order.
+// Like Append, Gather copies into g's own backing array and never aliases
+// src's storage: mutating the gathered grid cannot corrupt src. src must
+// be a different grid than g.
 func (g *Grid) Gather(src *Grid, indices []int) {
-	n := len(indices)
-	for k := range g.pnom {
-		pn := extend(&g.pnom[k], n)
-		vn := extend(&g.vnom[k], n)
-		fl := extend(&g.fl[k], n)
-		ar := extend(&g.ar[k], n)
-		spn, svn, sfl, sar := src.pnom[k], src.vnom[k], src.fl[k], src.ar[k]
-		for j, i := range indices {
-			pn[j] = spn[i]
-			vn[j] = svn[i]
-			fl[j] = sfl[i]
-			ar[j] = sar[i]
-		}
+	g.s = g.s[:0]
+	for _, i := range indices {
+		g.s = append(g.s, src.s[i])
 	}
-	cs := extend(&g.cstate, n)
-	ps := extend(&g.psu, n)
-	for j, i := range indices {
-		cs[j] = src.cstate[i]
-		ps[j] = src.psu[i]
-	}
-	g.n = n
 }
 
 // View returns a sub-grid over points [lo, hi) sharing the receiver's
 // storage — the chunking primitive for parallel sweep workers. Mutating a
-// view's points mutates the parent.
-func (g *Grid) View(lo, hi int) Grid {
-	var v Grid
-	v.n = hi - lo
-	for k := range g.pnom {
-		v.pnom[k] = g.pnom[k][lo:hi]
-		v.vnom[k] = g.vnom[k][lo:hi]
-		v.fl[k] = g.fl[k][lo:hi]
-		v.ar[k] = g.ar[k][lo:hi]
-	}
-	v.cstate = g.cstate[lo:hi]
-	v.psu = g.psu[lo:hi]
-	return v
-}
+// view's points mutates the parent; appending to a view never does.
+func (g *Grid) View(lo, hi int) Grid { return Grid{s: g.s[lo:hi:hi]} }
 
-// Kind-set constants for the kernel runners: which domains feed each stage
-// or rail, in the exact iteration order of the scalar models. Package-level
-// so constructing a runner allocates nothing.
-var (
-	gridAllKinds     = []domain.Kind{domain.Core0, domain.Core1, domain.LLC, domain.GFX, domain.SA, domain.IO}
-	gridComputeKinds = []domain.Kind{domain.Core0, domain.Core1, domain.LLC, domain.GFX}
-	gridCoresKinds   = []domain.Kind{domain.Core0, domain.Core1}
-	gridGfxKinds     = []domain.Kind{domain.GFX, domain.LLC}
-	gridSAKinds      = []domain.Kind{domain.SA}
-	gridIOKinds      = []domain.Kind{domain.IO}
-)
-
-// IVRStageRun evaluates IVRStage over grid points with the IVR compiled at
-// the fixed input rail and a previous-point stage memo keyed by the change
-// masks. Construct one per EvaluateGrid call (it is cheap, stack-sized
-// state); it is not safe for concurrent use.
-type IVRStageRun struct {
-	states vr.BuckStates
-	tob    units.Volt
-	kinds  []domain.Kind
-	need   uint16 // AR-free bits of kinds + package state
-
-	valid bool
-	nact  int
-	act   [domain.NumKinds]domain.Kind // active kinds of the memoized point, in eval order
-	pd    [domain.NumKinds]units.Watt
-	out   StageOut // PIn + Breakdown of the memoized point; AR unset
-}
-
-// NewIVRStageRun compiles ivr at the vin rail for all power states.
-func NewIVRStageRun(ivr *vr.Buck, kinds []domain.Kind, tob, vin units.Volt) IVRStageRun {
-	return IVRStageRun{
-		states: ivr.CompileStates(vin),
-		tob:    tob,
-		kinds:  kinds,
-		need:   kindsMask(kinds, false) | gridMaskCState,
-	}
-}
-
-// EvalInto writes exactly IVRStage(loads, ivr, tob, vin, cstate) for point i
-// of the grid into *dst, over the runner's load set; m is point i's change
-// mask. The out-parameter form spares the kernel loop a StageOut copy per
-// point.
-func (r *IVRStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) {
-	if r.valid && m&r.need == r.need {
-		// Only AR changed: the stored per-domain outputs are bit-identical,
-		// so replay them and recompute the peak sum with the current ARs in
-		// the scalar accumulation order.
-		*dst = r.out
-		var ppeak units.Watt
-		for _, k := range r.act[:r.nact] {
-			ppeak += r.pd[k] / g.ar[k][i]
-		}
-		if ppeak > 0 {
-			dst.AR = dst.PIn / ppeak
-		} else {
-			dst.AR = 1
-		}
-		return
-	}
-	var out StageOut
-	var ppeak units.Watt
-	cstate := g.cstate[i]
-	r.nact = 0
-	for _, k := range r.kinds {
-		pnom, vnom, fl := g.pnom[k][i], g.vnom[k][i], g.fl[k][i]
-		if !(pnom > 0) {
-			continue
-		}
-		pgb := loadline.ApplyGuardband(pnom, vnom, r.tob, fl)
-		out.Breakdown.Guardband += pgb - pnom
-		iout := pgb / vnom
-		eta := r.states.Efficiency(VRStateFor(cstate, iout), vnom, iout)
-		pd := pgb / eta // Eq. 6
-		out.Breakdown.OnChipVR += pd - pgb
-		out.PIn += pd
-		ppeak += pd / g.ar[k][i]
-		r.pd[k] = pd
-		r.act[r.nact] = k
-		r.nact++
-	}
-	r.valid = true
-	r.out = out
-	if ppeak > 0 {
-		out.AR = out.PIn / ppeak
-	} else {
-		out.AR = 1
-	}
-	*dst = out
-}
-
-// LDOStageRun evaluates LDOStage over grid points with a previous-point
-// stage memo keyed by the change masks (the LDO efficiency is state-free,
-// so the memo needs the AR-free load bits alone). Not safe for concurrent
-// use.
-type LDOStageRun struct {
-	ldo   *vr.LDO
-	tob   units.Volt
-	kinds []domain.Kind
-	need  uint16
-
-	valid bool
-	nact  int
-	act   [domain.NumKinds]domain.Kind
-	pd    [domain.NumKinds]units.Watt
-	vin   units.Volt
-	out   StageOut
-}
-
-// NewLDOStageRun returns a runner for the given compute load set.
-func NewLDOStageRun(ldo *vr.LDO, kinds []domain.Kind, tob units.Volt) LDOStageRun {
-	return LDOStageRun{ldo: ldo, tob: tob, kinds: kinds, need: kindsMask(kinds, false)}
-}
-
-// EvalInto writes exactly LDOStage(loads, ldo, tob) for point i of the grid
-// into *dst, over the runner's load set, returning the stage input voltage;
-// m is point i's change mask.
-func (r *LDOStageRun) EvalInto(dst *StageOut, g *Grid, i int, m uint16) units.Volt {
-	if r.valid && m&r.need == r.need {
-		*dst = r.out
-		if r.vin == 0 {
-			dst.AR = 1
-			return 0
-		}
-		var ppeak units.Watt
-		for _, k := range r.act[:r.nact] {
-			ppeak += r.pd[k] / g.ar[k][i]
-		}
-		dst.AR = dst.PIn / ppeak
-		return r.vin
-	}
-	var vin units.Volt
-	for _, k := range r.kinds {
-		if g.pnom[k][i] > 0 && g.vnom[k][i] > vin {
-			vin = g.vnom[k][i]
-		}
-	}
-	r.valid = true
-	r.nact = 0
-	if vin == 0 {
-		r.vin = 0
-		r.out = StageOut{}
-		*dst = StageOut{}
-		dst.AR = 1
-		return 0
-	}
-	vin += r.tob
-	var out StageOut
-	var ppeak units.Watt
-	for _, k := range r.kinds {
-		pnom, vnom, fl := g.pnom[k][i], g.vnom[k][i], g.fl[k][i]
-		if !(pnom > 0) {
-			continue
-		}
-		pgb := loadline.ApplyGuardband(pnom, vnom, r.tob, fl)
-		out.Breakdown.Guardband += pgb - pnom
-		eta := r.ldo.Efficiency(vr.OperatingPoint{Vin: vin, Vout: vnom + r.tob})
-		pd := pgb / eta // Eq. 11
-		out.Breakdown.OnChipVR += pd - pgb
-		out.PIn += pd
-		ppeak += pd / g.ar[k][i]
-		r.pd[k] = pd
-		r.act[r.nact] = k
-		r.nact++
-	}
-	r.vin = vin
-	r.out = out
-	out.AR = out.PIn / ppeak
-	*dst = out
-	return vin
-}
-
-// VinRailRun evaluates VinRail over grid points with the off-chip VR
-// compiled per distinct PSU voltage. Not safe for concurrent use.
-type VinRailRun struct {
-	b      *vr.Buck
-	psu    units.Volt
-	states vr.BuckStates
-	ready  bool
-}
-
-// NewVinRailRun returns a runner for the given first-stage VR.
-func NewVinRailRun(b *vr.Buck) VinRailRun {
-	return VinRailRun{b: b}
-}
-
-// offChip mirrors offChipInput with the compiled operating points,
-// recompiling only when the PSU voltage changes between points.
-func (r *VinRailRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
-	if p == 0 {
-		return 0, 0
-	}
-	if !r.ready || r.psu != psu {
-		r.states = r.b.CompileStates(psu)
-		r.psu = psu
-		r.ready = true
-	}
-	iout := p / vout
-	eta := r.states.Efficiency(VRStateFor(c, iout), vout, iout)
-	pin = p / eta
-	return pin, pin - p
-}
-
-// AddFrom accumulates another breakdown through a pointer — the same
-// field-wise additions as Add, without copying the 48-byte operand.
-func (b *Breakdown) AddFrom(o *Breakdown) {
-	b.Guardband += o.Guardband
-	b.PowerGate += o.PowerGate
-	b.OnChipVR += o.OnChipVR
-	b.OffChipVR += o.OffChipVR
-	b.CondCompute += o.CondCompute
-	b.CondUncore += o.CondUncore
-}
-
-// EvalInto accumulates exactly VinRail(b, st, vin, rll, psu, c,
-// computeShare) into the caller's breakdown and rail set, returning the
-// rail's PSU draw. Each breakdown field is one `+=` of the same term the
-// standalone RailOut form stored — the very additions Breakdown.Add would
-// perform — so accumulating in place carries identical float64 bits while
-// sparing the kernel loop a RailOut build, copy and Add per point.
-func (r *VinRailRun) EvalInto(st *StageOut, vin units.Volt, rll units.Ohm, psu units.Volt, c domain.CState, computeShare float64, bd *Breakdown, rails *RailSet) units.Watt {
-	if st.PIn == 0 {
-		rails.Append(RailDraw{Name: r.b.Name(), VOut: vin})
-		return 0
-	}
-	ll := loadline.Compensate(st.PIn, vin, st.AR, rll)
-	bd.CondCompute += ll.Loss * computeShare
-	bd.CondUncore += ll.Loss * (1 - computeShare)
-	pin, loss := r.offChip(psu, ll.V, ll.P, c)
-	bd.OffChipVR += loss
-	rails.Append(RailDraw{
-		Name:    r.b.Name(),
-		VOut:    ll.V,
-		Current: ll.I,
-		Peak:    st.PIn / st.AR / vin,
-	})
-	return pin
-}
-
-// BoardRailRun evaluates BoardRail over grid points with the off-chip VR
-// compiled per distinct PSU voltage and two memo tiers keyed on the change
-// masks: a whole-rail memo — when the rail's loads (AR included), the
-// package state and the PSU all repeat (the SA/IO rails across a TDP or AR
-// sweep) the stored output is returned wholesale on a single mask test —
-// and a free-field memo that keeps the rail voltage and per-load
-// guardbanded powers (functions of PNom/VNom/FL only) across AR-innermost
-// sweeps, where every point invalidates the whole-rail tier but not the
-// guardband work. Not safe for concurrent use.
-type BoardRailRun struct {
-	b        *vr.Buck
-	kinds    []domain.Kind
-	tob      units.Volt
-	rpg      units.Ohm
-	rll      units.Ohm
-	compute  bool
-	need     uint16
-	freeNeed uint16
-
-	psu    units.Volt
-	states vr.BuckStates
-	ready  bool
-
-	// Free-field memo (see evalPoint): the rail voltage, the active load
-	// set in domain order, and per-load guardbanded power / guardband
-	// delta / FL — everything the per-load loop derives before AR enters.
-	fvalid bool
-	railV  units.Volt
-	nact   int
-	actK   [domain.NumKinds]domain.Kind
-	pgb    [domain.NumKinds]units.Watt
-	gbd    [domain.NumKinds]units.Watt
-	flv    [domain.NumKinds]float64
-
-	valid bool
-	out   RailOut
-}
-
-// NewBoardRailRun returns a runner for one motherboard rail.
-func NewBoardRailRun(b *vr.Buck, kinds []domain.Kind, tob units.Volt, rpg, rll units.Ohm, compute bool) BoardRailRun {
-	return BoardRailRun{
-		b: b, kinds: kinds, tob: tob, rpg: rpg, rll: rll, compute: compute,
-		need:     kindsMask(kinds, true) | gridMaskCState | gridMaskPSU,
-		freeNeed: kindsMask(kinds, false),
-	}
-}
-
-// offChip mirrors offChipInput with the compiled operating points.
-func (r *BoardRailRun) offChip(psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
-	if p == 0 {
-		return 0, 0
-	}
-	if !r.ready || r.psu != psu {
-		r.states = r.b.CompileStates(psu)
-		r.psu = psu
-		r.ready = true
-	}
-	iout := p / vout
-	eta := r.states.Efficiency(VRStateFor(c, iout), vout, iout)
-	pin = p / eta
-	return pin, pin - p
-}
-
-// evalPoint computes the rail's full output for point i into r.out,
-// exactly as the scalar BoardRail does for r.kinds' loads. When the mask
-// says every load's AR-free columns repeat, the free-field memo replays
-// the rail voltage and per-load guardbanded powers instead of recomputing
-// them — those are pure functions of the unchanged PNom/VNom/FL bits, so
-// the replayed values are the bits the calls would produce. Within a
-// point, consecutive active loads with identical guardbanded power, FL
-// and AR share one power-gate solve for the same reason: identical
-// argument bits into the same pure function. Every accumulation below
-// (+= per field, per load, in domain order) is the scalar loop's own
-// sequence, so the result carries identical float64 bits.
-func (r *BoardRailRun) evalPoint(g *Grid, i int, m uint16) {
-	if !r.fvalid || m&r.freeNeed != r.freeNeed {
-		r.fvalid = false
-		var railV units.Volt
-		for _, k := range r.kinds {
-			if g.pnom[k][i] > 0 && g.vnom[k][i] > railV {
-				railV = g.vnom[k][i]
-			}
-		}
-		r.railV = railV
-		r.nact = 0
-		if railV > 0 {
-			for _, k := range r.kinds {
-				pnom, vnom, fl := g.pnom[k][i], g.vnom[k][i], g.fl[k][i]
-				if !(pnom > 0) {
-					continue
-				}
-				pgb := loadline.ApplyGuardband(pnom, vnom, r.tob, fl)
-				if vnom < railV {
-					pgb = loadline.ApplyGuardband(pgb, vnom+r.tob, railV-vnom, fl)
-				}
-				t := r.nact
-				r.actK[t] = k
-				r.pgb[t] = pgb
-				r.gbd[t] = pgb - pnom
-				r.flv[t] = fl
-				r.nact++
-			}
-		}
-		r.fvalid = true
-	}
-	var out RailOut
-	if r.railV == 0 {
-		out.Rail = RailDraw{Name: r.b.Name()}
-		r.valid = true
-		r.out = out
-		return
-	}
-	railVT := r.railV + r.tob
-	var sum units.Watt
-	var ppeak units.Watt
-	var prevAR float64
-	var prevPPG units.Watt
-	for t := 0; t < r.nact; t++ {
-		ar := g.ar[r.actK[t]][i]
-		pgb := r.pgb[t]
-		var ppg units.Watt
-		if t > 0 && pgb == r.pgb[t-1] && r.flv[t] == r.flv[t-1] && ar == prevAR {
-			ppg = prevPPG
-		} else {
-			ppg = loadline.ApplyPowerGate(pgb, railVT, ar, r.flv[t], r.rpg)
-		}
-		out.Breakdown.Guardband += r.gbd[t]
-		out.Breakdown.PowerGate += ppg - pgb
-		sum += ppg
-		ppeak += ppg / ar
-		prevAR, prevPPG = ar, ppg
-	}
-	ar := sum / ppeak
-	ll := loadline.Compensate(sum, railVT, ar, r.rll)
-	if r.compute {
-		out.Breakdown.CondCompute = ll.Loss
-	} else {
-		out.Breakdown.CondUncore = ll.Loss
-	}
-	pin, loss := r.offChip(g.psu[i], ll.V, ll.P, g.cstate[i])
-	out.Breakdown.OffChipVR = loss
-	out.PIn = pin
-	out.Rail = RailDraw{
-		Name:    r.b.Name(),
-		VOut:    ll.V,
-		Current: ll.I,
-		Peak:    sum / ar / railVT,
-	}
-	r.valid = true
-	r.out = out
-}
-
-// EvalInto accumulates exactly BoardRail(b, loads, tob, rpg, rll, psu, c,
-// compute) for point i of the grid into the caller's breakdown and rail
-// set, returning the rail's PSU draw; m is point i's change mask. The
-// accumulation performs Breakdown.Add's field additions on the memoized
-// (or freshly computed) rail output, so the bits match the standalone
-// RailOut form exactly.
-func (r *BoardRailRun) EvalInto(g *Grid, i int, m uint16, bd *Breakdown, rails *RailSet) units.Watt {
-	if !r.valid || m&r.need != r.need {
-		r.evalPoint(g, i, m)
-	}
-	bd.AddFrom(&r.out.Breakdown)
-	rails.Append(r.out.Rail)
-	return r.out.PIn
-}
-
-// EvalBlock is EvalInto swept rail-major over points [base, base+blk):
-// each point's breakdown and rail draw accumulate into out[base+j] and
-// the rail's PSU draw adds into pins[j]. The per-point work and memo
-// tests are exactly EvalInto's — only the loop nesting differs, keeping
-// the rail's state hot across consecutive points — and rail order across
-// EvalBlock calls matches the scalar model's rail order per point, so
-// every accumulation sequence (and therefore every bit) is unchanged.
-func (r *BoardRailRun) EvalBlock(g *Grid, base, blk int, masks []uint16, out []Result, pins []units.Watt) {
-	for j := 0; j < blk; j++ {
-		if !r.valid || masks[j]&r.need != r.need {
-			r.evalPoint(g, base+j, masks[j])
-		}
-		res := &out[base+j]
-		res.Breakdown.AddFrom(&r.out.Breakdown)
-		res.Rails.Append(r.out.Rail)
-		pins[j] += r.out.PIn
-	}
-}
+// Scenarios returns the grid's points, sharing its storage.
+func (g *Grid) Scenarios() []Scenario { return g.s }
 
 // CheckGridOut validates a caller-provided result block against a grid;
 // model EvaluateGrid implementations (here and in internal/core) call it
@@ -853,221 +71,4 @@ func CheckGridOut(g *Grid, out []Result) error {
 // so errors.Is/As see through the grid framing.
 func GridPointError(i int, err error) error {
 	return fmt.Errorf("pdn: grid point %d: %w", i, err)
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point. It stops at the first invalid
-// point, returning its scalar error wrapped with the point index; results
-// for preceding points remain valid.
-func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	stage := NewIVRStageRun(m.ivr, gridAllKinds, p.TOBIVR, p.VINLevel)
-	rail := NewVinRailRun(m.vin)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var st StageOut
-	var masks [GridMaskBlock]uint16
-	for base := 0; base < g.Len(); base += GridMaskBlock {
-		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		for j := 0; j < blk; j++ {
-			i := base + j
-			mk := masks[j]
-			if err := pt.Validate(g, i, mk); err != nil {
-				return GridPointError(i, err)
-			}
-			total := pt.TotalNominal()
-			stage.EvalInto(&st, g, i, mk)
-			share := 1.0
-			if total > 0 {
-				share = pt.ComputeNominal() / total
-			}
-			res := &out[i]
-			res.Breakdown = st.Breakdown
-			pin := rail.EvalInto(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], share, &res.Breakdown, &res.Rails)
-			FinishGrid(res, IVR, total, pin, p.IVRInLL)
-		}
-	}
-	return nil
-}
-
-// ClearResults zeroes a kernel's result block before evaluation. The
-// runners then accumulate each point's Breakdown and Rails directly inside
-// out[i] — one streaming memclr up front replaces a per-point stack build
-// plus ~220-byte copy, and unused rail slots end up zero exactly as the
-// scalar path's zero-value RailSet leaves them.
-func ClearResults(out []Result) {
-	for i := range out {
-		out[i] = Result{}
-	}
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract. The four board rails sweep the block rail-major —
-// one EvalBlock pass per rail with that rail's state held hot — instead
-// of cycling all four runners through every point. Per point the pin
-// additions, breakdown additions and rail appends still happen in the
-// scalar model's rail order (cores, gfx, sa, io), so the accumulation
-// sequence, and therefore the bits, match the point-major order exactly.
-func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	cores := NewBoardRailRun(m.cores, gridCoresKinds, p.TOBMBVR, p.RPG, p.CoresLL, true)
-	gfx := NewBoardRailRun(m.gfx, gridGfxKinds, p.TOBMBVR, p.RPG, p.GfxLL, true)
-	sa := NewBoardRailRun(m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
-	io := NewBoardRailRun(m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var masks [GridMaskBlock]uint16
-	var pins [GridMaskBlock]units.Watt
-	var totals [GridMaskBlock]units.Watt
-	for base := 0; base < g.Len(); base += GridMaskBlock {
-		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		// Validate the block up front: rail-major evaluation finishes every
-		// point of a block before moving on, so an invalid point truncates
-		// the block — points before it still get complete results, matching
-		// the scalar order's stop-at-first-error contract.
-		var verr error
-		vblk := blk
-		for j := 0; j < blk; j++ {
-			if err := pt.Validate(g, base+j, masks[j]); err != nil {
-				verr = GridPointError(base+j, err)
-				vblk = j
-				break
-			}
-			totals[j] = pt.TotalNominal()
-			pins[j] = 0
-		}
-		cores.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		gfx.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		sa.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		io.EvalBlock(g, base, vblk, masks[:vblk], out, pins[:vblk])
-		for j := 0; j < vblk; j++ {
-			FinishGrid(&out[base+j], MBVR, totals[j], pins[j], p.CoresLL)
-		}
-		if verr != nil {
-			return verr
-		}
-	}
-	return nil
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract.
-func (m *LDOModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	stage := NewLDOStageRun(m.ldo, gridComputeKinds, p.TOBLDO)
-	vinRail := NewVinRailRun(m.vin)
-	sa := NewBoardRailRun(m.sa, gridSAKinds, p.TOBLDO, p.RPG, p.SALL, false)
-	io := NewBoardRailRun(m.io, gridIOKinds, p.TOBLDO, p.RPG, p.IOLL, false)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var st StageOut
-	var masks [GridMaskBlock]uint16
-	for base := 0; base < g.Len(); base += GridMaskBlock {
-		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		for j := 0; j < blk; j++ {
-			i := base + j
-			mk := masks[j]
-			if err := pt.Validate(g, i, mk); err != nil {
-				return GridPointError(i, err)
-			}
-			vinLevel := stage.EvalInto(&st, g, i, mk)
-			res := &out[i]
-			var pin units.Watt
-			if st.PIn > 0 {
-				res.Breakdown.AddFrom(&st.Breakdown)
-				pin += vinRail.EvalInto(&st, vinLevel, p.LDOInLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
-			}
-			saP := sa.EvalInto(g, i, mk, &res.Breakdown, &res.Rails)
-			ioP := io.EvalInto(g, i, mk, &res.Breakdown, &res.Rails)
-			pin += saP + ioP
-			FinishGrid(res, LDO, pt.TotalNominal(), pin, p.LDOInLL)
-		}
-	}
-	return nil
-}
-
-// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
-// identical to calling Evaluate per point; see IVRModel.EvaluateGrid for
-// the error contract. The IVR stage and V_IN rail run point-major (the
-// stage output feeds the rail immediately), then the two board rails
-// sweep the block rail-major as in MBVRModel.EvaluateGrid. The board
-// draws accumulate into their own per-point column first because the
-// scalar form is pin += saP + ioP — sa and io sum together before
-// joining the V_IN draw — and that grouping must be preserved for the
-// final addition to carry identical bits.
-func (m *IMBVRModel) EvaluateGrid(g *Grid, out []Result) error {
-	if err := CheckGridOut(g, out); err != nil {
-		return err
-	}
-	p := m.params
-	stage := NewIVRStageRun(m.ivr, gridComputeKinds, p.TOBIVR, p.VINLevel)
-	vinRail := NewVinRailRun(m.vin)
-	sa := NewBoardRailRun(m.sa, gridSAKinds, p.TOBMBVR, p.RPG, p.SALL, false)
-	io := NewBoardRailRun(m.io, gridIOKinds, p.TOBMBVR, p.RPG, p.IOLL, false)
-	ClearResults(out[:g.Len()])
-	var pt GridPointRun
-	var st StageOut
-	var masks [GridMaskBlock]uint16
-	var pins [GridMaskBlock]units.Watt
-	var board [GridMaskBlock]units.Watt
-	var totals [GridMaskBlock]units.Watt
-	for base := 0; base < g.Len(); base += GridMaskBlock {
-		blk := g.Len() - base
-		if blk > GridMaskBlock {
-			blk = GridMaskBlock
-		}
-		g.ChangeMasks(base, masks[:blk])
-		var verr error
-		vblk := blk
-		for j := 0; j < blk; j++ {
-			i := base + j
-			mk := masks[j]
-			if err := pt.Validate(g, i, mk); err != nil {
-				verr = GridPointError(i, err)
-				vblk = j
-				break
-			}
-			totals[j] = pt.TotalNominal()
-			stage.EvalInto(&st, g, i, mk)
-			res := &out[i]
-			pins[j] = 0
-			if st.PIn > 0 {
-				res.Breakdown.AddFrom(&st.Breakdown)
-				pins[j] = vinRail.EvalInto(&st, p.VINLevel, p.IVRInLL, g.psu[i], g.cstate[i], 1, &res.Breakdown, &res.Rails)
-			}
-			board[j] = 0
-		}
-		sa.EvalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
-		io.EvalBlock(g, base, vblk, masks[:vblk], out, board[:vblk])
-		for j := 0; j < vblk; j++ {
-			FinishGrid(&out[base+j], IMBVR, totals[j], pins[j]+board[j], p.IVRInLL)
-		}
-		if verr != nil {
-			return verr
-		}
-	}
-	return nil
 }

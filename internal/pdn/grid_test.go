@@ -9,11 +9,12 @@ import (
 	"repro/internal/units"
 )
 
-// gridTestParams returns plausible PDNspot parameters for the kernel tests
+// gridTestParams returns plausible PDNspot parameters for the grid tests
 // (the root-level property test covers the real platform parameters; here
-// the point is exercising every branch of the runners).
+// the point is exercising every branch of the stages and memos).
 func gridTestParams() Params {
 	return Params{
+		PSU:              12,
 		TOBIVR:           units.MilliVolt(10),
 		TOBMBVR:          units.MilliVolt(20),
 		TOBLDO:           units.MilliVolt(15),
@@ -35,10 +36,10 @@ func gridTestParams() Params {
 	}
 }
 
-// gridTestScenarios builds a grid that exercises the memo machinery the way
-// real sweeps do — runs where only AR changes (stage-memo hits), power/
-// voltage steps (misses), C-state changes (VR state re-selection), PSU
-// changes (off-chip recompiles), idle domains, all-compute-idle points and
+// gridTestScenarios builds a grid that exercises the memos the way real
+// sweeps do — runs where only AR changes (stage-memo hits), power/voltage
+// steps (misses), C-state changes (VR state re-selection), exact repeats
+// (board-rail memo hits), idle domains, all-compute-idle points and
 // single-domain points — in an order that also forces memo invalidation
 // between hits.
 func gridTestScenarios() []Scenario {
@@ -80,11 +81,9 @@ func gridTestScenarios() []Scenario {
 		s.CState = c
 		out = append(out, s)
 	}
-	// PSU change mid-grid: off-chip recompile.
-	for _, psu := range []units.Volt{7.2, 12, 19.5, 7.2} {
-		s := base
-		s.PSU = psu
-		out = append(out, s)
+	// Exact repeats: every memo hits.
+	for i := 0; i < 3; i++ {
+		out = append(out, base)
 	}
 	// Idle subsets: compute-idle (LDO stage's vin==0 branch, SA/IO-only
 	// rails), uncore-idle, single tiny domain, light loads (PS1 selection).
@@ -119,7 +118,7 @@ func gridTestScenarios() []Scenario {
 }
 
 // TestGridViewAliasing pins View's alias contract: a view shares the
-// parent's column storage, so mutation flows both ways — that sharing is
+// parent's storage, so mutation flows both ways — that sharing is
 // what lets GridMapCtx chunk one grid across workers without copying.
 func TestGridViewAliasing(t *testing.T) {
 	scenarios := gridTestScenarios()
@@ -136,7 +135,6 @@ func TestGridViewAliasing(t *testing.T) {
 	// Writing through the view must reach the parent…
 	mut := scenarios[len(scenarios)-1]
 	mut.Loads[domain.Core0].PNom = 42
-	mut.PSU = 19.5
 	mut.CState = domain.C2
 	v.Set(2, mut)
 	if got := g.At(5); got != mut {
@@ -176,7 +174,6 @@ func TestGridGatherCopies(t *testing.T) {
 	// Mutate every gathered point; the source must keep its bits.
 	mut := scenarios[1]
 	mut.Loads[domain.Core0].PNom = 99
-	mut.PSU = 7.2
 	for j := 0; j < g.Len(); j++ {
 		g.Set(j, mut)
 	}
@@ -198,8 +195,8 @@ func TestGridGatherCopies(t *testing.T) {
 	}
 }
 
-// TestEvaluateGridBitwise pins the grid kernels against the scalar models:
-// every Result field of every point must carry identical float64 bits.
+// TestEvaluateGridBitwise pins grid runs, memos included, against
+// per-point Evaluate: every Result field of every point must be equal.
 func TestEvaluateGridBitwise(t *testing.T) {
 	p := gridTestParams()
 	g := GridOf(gridTestScenarios())
@@ -271,8 +268,8 @@ func TestEvaluateGridErrors(t *testing.T) {
 	}
 }
 
-// TestGridAccessors pins the SoA round-trip: Append/Set/At/View agree with
-// the scenario values they were fed.
+// TestGridAccessors pins the round-trip: Append/Set/At/View agree with the
+// scenario values they were fed.
 func TestGridAccessors(t *testing.T) {
 	ss := gridTestScenarios()
 	g := NewGrid(4) // smaller than len(ss): growth path

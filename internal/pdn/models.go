@@ -16,12 +16,9 @@ var ErrNoLoad = errors.New("pdn: scenario has no active load")
 // pointer because it sits on the per-evaluation hot path and Scenario is a
 // ~200-byte value; the scenario is not modified.
 func Validate(s *Scenario) error {
-	if s.PSU <= 0 {
-		return fmt.Errorf("pdn: PSU voltage must be positive, got %g", s.PSU)
-	}
 	active := false
 	for k := range s.Loads {
-		l := s.Loads[k]
+		l := &s.Loads[k]
 		if l.PNom < 0 {
 			return fmt.Errorf("pdn: %v has negative power %g", domain.Kind(k), l.PNom)
 		}
@@ -45,68 +42,45 @@ func Validate(s *Scenario) error {
 	return nil
 }
 
-// Finish assembles a Result from accumulated parts, computing ETEE and the
-// total chip input current. pnom is the scenario's total nominal power
-// (Scenario.TotalNominal), which every model already has in hand.
-func Finish(kind Kind, pnom units.Watt, pin units.Watt, bd Breakdown, rails RailSet, railR units.Ohm) Result {
-	var r Result
-	FinishInto(&r, kind, pnom, pin, &bd, &rails, railR)
-	return r
+// Finish completes a Result whose Breakdown and Rails the stages have
+// accumulated: it records the kind, ΣPNOM (the scenario's TotalNominal),
+// the PSU draw, ETEE and the total chip input current.
+func Finish(r *Result, kind Kind, pnom, pin units.Watt, railR units.Ohm) {
+	var iin units.Amp
+	for i := 0; i < r.Rails.n; i++ {
+		iin += r.Rails.rails[i].Current
+	}
+	r.PDN = kind
+	r.PNomTotal = pnom
+	r.PIn = pin
+	r.ETEE = pnom / pin
+	r.ChipInputCurrent = iin
+	r.ComputeRailR = railR
 }
 
-// FinishInto is Finish writing the Result in place. The grid kernels use it
-// to fill their caller's result block directly: a Result is ~260 bytes
-// (mostly the rail set), and building it on the stack only to copy it into
-// out[i] is a measurable fraction of a batch point's budget. The arithmetic
-// is exactly Finish's, so the scalar wrapper above and the batch path
-// produce identical bits.
-func FinishInto(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, bd *Breakdown, rails *RailSet, railR units.Ohm) {
-	var iin units.Amp
-	for i := 0; i < rails.n; i++ {
-		iin += rails.rails[i].Current
-	}
-	dst.PDN = kind
-	dst.PNomTotal = pnom
-	dst.PIn = pin
-	dst.ETEE = pnom / pin
-	dst.Breakdown = *bd
-	dst.ChipInputCurrent = iin
-	dst.ComputeRailR = railR
-	dst.Rails = *rails
-}
-
-// FinishGrid completes a Result whose Breakdown and Rails a grid kernel has
-// already accumulated in place (the kernels zero the result block up front
-// and let the runners write dst.Breakdown/dst.Rails directly, eliminating
-// the last per-point struct copies). The remaining assignments are exactly
-// Finish's, computed from the in-place rail set.
-func FinishGrid(dst *Result, kind Kind, pnom units.Watt, pin units.Watt, railR units.Ohm) {
-	var iin units.Amp
-	for i := 0; i < dst.Rails.n; i++ {
-		iin += dst.Rails.rails[i].Current
-	}
-	dst.PDN = kind
-	dst.PNomTotal = pnom
-	dst.PIn = pin
-	dst.ETEE = pnom / pin
-	dst.ChipInputCurrent = iin
-	dst.ComputeRailR = railR
-}
+// Every model evaluates a point with one method, eval(s, memo, r): it
+// validates s and accumulates the point's Result into the zeroed *r.
+// Evaluate runs it with a nil memo; EvaluateGrid runs it on every grid
+// point with one Memo for the whole run, stopping at the first invalid
+// point with its error wrapped by GridPointError (results for preceding
+// points remain valid). Each model spells out that short loop: handing
+// eval to a shared loop as a function value would move the Memo to the
+// heap, and grid runs are pinned allocation-free.
 
 // IVRModel is the integrated-VR PDN (Fig 1(a)): one off-chip V_IN VR at
 // 1.8 V feeding six on-die IVRs, one per domain.
 type IVRModel struct {
 	params Params
-	ivr    *vr.Buck
-	vin    *vr.Buck
+	stage  IVRStage
+	vin    vinRail
 }
 
 // NewIVRModel constructs the IVR PDN with the given parameters.
 func NewIVRModel(p Params) *IVRModel {
 	return &IVRModel{
 		params: p,
-		ivr:    vr.NewIVR("IVR", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
+		stage:  NewIVRStage(vr.NewIVR("IVR", p.IVRIccmax), domain.Kinds(), p.TOBIVR, p.VINLevel),
+		vin:    newVinRail(vr.NewVinVR(p.VINIccmax), p.PSU),
 	}
 }
 
@@ -115,10 +89,34 @@ func (m *IVRModel) Kind() Kind { return IVR }
 
 // Evaluate implements Model, following Eq. 2, 6, 7, 8, 9.
 func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var r Result
+	if err := m.eval(&s, nil, &r); err != nil {
 		return Result{}, err
 	}
-	p := m.params
+	return r, nil
+}
+
+// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
+// identical to calling Evaluate per point.
+func (m *IVRModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := CheckGridOut(g, out); err != nil {
+		return err
+	}
+	var memo Memo
+	for i := range g.s {
+		out[i] = Result{}
+		if err := m.eval(&g.s[i], &memo, &out[i]); err != nil {
+			return GridPointError(i, err)
+		}
+	}
+	return nil
+}
+
+func (m *IVRModel) eval(s *Scenario, memo *Memo, r *Result) error {
+	if err := Validate(s); err != nil {
+		return err
+	}
+	p := &m.params
 	var computeP, total units.Watt
 	for k := range s.Loads {
 		total += s.Loads[k].PNom
@@ -126,17 +124,16 @@ func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
 			computeP += s.Loads[k].PNom
 		}
 	}
-	st := IVRStage(s.Loads[:], m.ivr, p.TOBIVR, p.VINLevel, s.CState)
+	var st StageOut
+	m.stage.Eval(s, memo, &st)
 	share := 1.0
 	if total > 0 {
 		share = computeP / total
 	}
-	rail := VinRail(m.vin, st, p.VINLevel, p.IVRInLL, s.PSU, s.CState, share)
-	bd := st.Breakdown
-	bd.Add(rail.Breakdown)
-	var rails RailSet
-	rails.Append(rail.Rail)
-	return Finish(IVR, total, rail.PIn, bd, rails, p.IVRInLL), nil
+	r.Breakdown = st.Breakdown
+	pin := m.vin.eval(&st, p.VINLevel, p.IVRInLL, s.CState, share, r)
+	Finish(r, IVR, total, pin, p.IVRInLL)
+	return nil
 }
 
 // MBVRModel is the motherboard-VR PDN (Fig 1(b)): four one-stage board VRs
@@ -146,21 +143,19 @@ func (m *IVRModel) Evaluate(s Scenario) (Result, error) {
 // it runs at graphics-class voltage, so pairing it with V_GFX avoids
 // over-volting the (low-voltage) cores.
 type MBVRModel struct {
-	params Params
-	cores  *vr.Buck
-	gfx    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	params             Params
+	cores, gfx, sa, io boardRail
 }
 
 // NewMBVRModel constructs the MBVR PDN.
 func NewMBVRModel(p Params) *MBVRModel {
+	tob := p.TOBMBVR
 	return &MBVRModel{
 		params: p,
-		cores:  vr.NewBoardVR("V_Cores", p.CoresIccmax),
-		gfx:    vr.NewBoardVR("V_GFX", p.GfxIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		cores:  newBoardRail(vr.NewBoardVR("V_Cores", p.CoresIccmax), p.PSU, []domain.Kind{domain.Core0, domain.Core1}, tob, p.RPG, p.CoresLL, true, 0),
+		gfx:    newBoardRail(vr.NewBoardVR("V_GFX", p.GfxIccmax), p.PSU, []domain.Kind{domain.GFX, domain.LLC}, tob, p.RPG, p.GfxLL, true, 1),
+		sa:     newBoardRail(vr.NewSmallRailVR("V_SA", p.SAIccmax), p.PSU, []domain.Kind{domain.SA}, tob, p.RPG, p.SALL, false, 2),
+		io:     newBoardRail(vr.NewSmallRailVR("V_IO", p.IOIccmax), p.PSU, []domain.Kind{domain.IO}, tob, p.RPG, p.IOLL, false, 3),
 	}
 }
 
@@ -169,23 +164,40 @@ func (m *MBVRModel) Kind() Kind { return MBVR }
 
 // Evaluate implements Model, following Eq. 2–5 per rail.
 func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var r Result
+	if err := m.eval(&s, nil, &r); err != nil {
 		return Result{}, err
 	}
-	p := m.params
-	var pin units.Watt
-	var bd Breakdown
-	var rails RailSet
-	coresOut := BoardRail(m.cores, []Load{s.Loads[domain.Core0], s.Loads[domain.Core1]}, p.TOBMBVR, p.RPG, p.CoresLL, s.PSU, s.CState, true)
-	gfxOut := BoardRail(m.gfx, []Load{s.Loads[domain.GFX], s.Loads[domain.LLC]}, p.TOBMBVR, p.RPG, p.GfxLL, s.PSU, s.CState, true)
-	saOut := BoardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBMBVR, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := BoardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBMBVR, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	for _, out := range []RailOut{coresOut, gfxOut, saOut, ioOut} {
-		pin += out.PIn
-		bd.Add(out.Breakdown)
-		rails.Append(out.Rail)
+	return r, nil
+}
+
+// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
+// identical to calling Evaluate per point.
+func (m *MBVRModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := CheckGridOut(g, out); err != nil {
+		return err
 	}
-	return Finish(MBVR, s.TotalNominal(), pin, bd, rails, p.CoresLL), nil
+	var memo Memo
+	for i := range g.s {
+		out[i] = Result{}
+		if err := m.eval(&g.s[i], &memo, &out[i]); err != nil {
+			return GridPointError(i, err)
+		}
+	}
+	return nil
+}
+
+func (m *MBVRModel) eval(s *Scenario, memo *Memo, r *Result) error {
+	if err := Validate(s); err != nil {
+		return err
+	}
+	var pin units.Watt
+	pin += m.cores.run(s, memo, r)
+	pin += m.gfx.run(s, memo, r)
+	pin += m.sa.run(s, memo, r)
+	pin += m.io.run(s, memo, r)
+	Finish(r, MBVR, s.TotalNominal(), pin, m.params.CoresLL)
+	return nil
 }
 
 // LDOModel is the LDO PDN (Fig 1(c), AMD Zen style): compute domains behind
@@ -193,20 +205,16 @@ func (m *MBVRModel) Evaluate(s Scenario) (Result, error) {
 // SA and IO on dedicated one-stage board VRs with power gates.
 type LDOModel struct {
 	params Params
-	ldo    *vr.LDO
-	vin    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	stage  LDOStage
+	rails  StageRails
 }
 
 // NewLDOModel constructs the LDO PDN.
 func NewLDOModel(p Params) *LDOModel {
 	return &LDOModel{
 		params: p,
-		ldo:    vr.NewPlatformLDO("LDO", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		stage:  NewLDOStage(vr.NewPlatformLDO("LDO", p.IVRIccmax), domain.ComputeKinds(), p.TOBLDO),
+		rails:  NewStageRails(p, p.TOBLDO),
 	}
 }
 
@@ -215,31 +223,38 @@ func (m *LDOModel) Kind() Kind { return LDO }
 
 // Evaluate implements Model, following Eq. 2, 10, 11, 7, 8, 12.
 func (m *LDOModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var r Result
+	if err := m.eval(&s, nil, &r); err != nil {
 		return Result{}, err
 	}
-	p := m.params
-	compute := []Load{s.Loads[domain.Core0], s.Loads[domain.Core1], s.Loads[domain.LLC], s.Loads[domain.GFX]}
-	vinLevel, st := LDOStage(compute, m.ldo, p.TOBLDO)
+	return r, nil
+}
 
-	var pin units.Watt
-	var bd Breakdown
-	var rails RailSet
-	if st.PIn > 0 {
-		rail := VinRail(m.vin, st, vinLevel, p.LDOInLL, s.PSU, s.CState, 1)
-		pin += rail.PIn
-		bd.Add(st.Breakdown)
-		bd.Add(rail.Breakdown)
-		rails.Append(rail.Rail)
+// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
+// identical to calling Evaluate per point.
+func (m *LDOModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := CheckGridOut(g, out); err != nil {
+		return err
 	}
-	saOut := BoardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBLDO, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := BoardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBLDO, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	pin += saOut.PIn + ioOut.PIn
-	bd.Add(saOut.Breakdown)
-	bd.Add(ioOut.Breakdown)
-	rails.Append(saOut.Rail)
-	rails.Append(ioOut.Rail)
-	return Finish(LDO, s.TotalNominal(), pin, bd, rails, p.LDOInLL), nil
+	var memo Memo
+	for i := range g.s {
+		out[i] = Result{}
+		if err := m.eval(&g.s[i], &memo, &out[i]); err != nil {
+			return GridPointError(i, err)
+		}
+	}
+	return nil
+}
+
+func (m *LDOModel) eval(s *Scenario, memo *Memo, r *Result) error {
+	if err := Validate(s); err != nil {
+		return err
+	}
+	var st StageOut
+	vinLevel := m.stage.Eval(s, memo, &st)
+	pin := m.rails.Eval(&st, vinLevel, m.params.LDOInLL, s, memo, r)
+	Finish(r, LDO, s.TotalNominal(), pin, m.params.LDOInLL)
+	return nil
 }
 
 // IMBVRModel is the Skylake-X style hybrid (§7): compute domains behind
@@ -247,20 +262,16 @@ func (m *LDOModel) Evaluate(s Scenario) (Result, error) {
 // dedicated one-stage board VRs (as in the MBVR PDN).
 type IMBVRModel struct {
 	params Params
-	ivr    *vr.Buck
-	vin    *vr.Buck
-	sa     *vr.Buck
-	io     *vr.Buck
+	stage  IVRStage
+	rails  StageRails
 }
 
 // NewIMBVRModel constructs the I+MBVR PDN.
 func NewIMBVRModel(p Params) *IMBVRModel {
 	return &IMBVRModel{
 		params: p,
-		ivr:    vr.NewIVR("IVR", p.IVRIccmax),
-		vin:    vr.NewVinVR(p.VINIccmax),
-		sa:     vr.NewSmallRailVR("V_SA", p.SAIccmax),
-		io:     vr.NewSmallRailVR("V_IO", p.IOIccmax),
+		stage:  NewIVRStage(vr.NewIVR("IVR", p.IVRIccmax), domain.ComputeKinds(), p.TOBIVR, p.VINLevel),
+		rails:  NewStageRails(p, p.TOBMBVR),
 	}
 }
 
@@ -269,31 +280,38 @@ func (m *IMBVRModel) Kind() Kind { return IMBVR }
 
 // Evaluate implements Model.
 func (m *IMBVRModel) Evaluate(s Scenario) (Result, error) {
-	if err := Validate(&s); err != nil {
+	var r Result
+	if err := m.eval(&s, nil, &r); err != nil {
 		return Result{}, err
 	}
-	p := m.params
-	compute := []Load{s.Loads[domain.Core0], s.Loads[domain.Core1], s.Loads[domain.LLC], s.Loads[domain.GFX]}
-	st := IVRStage(compute, m.ivr, p.TOBIVR, p.VINLevel, s.CState)
+	return r, nil
+}
 
-	var pin units.Watt
-	var bd Breakdown
-	var rails RailSet
-	if st.PIn > 0 {
-		rail := VinRail(m.vin, st, p.VINLevel, p.IVRInLL, s.PSU, s.CState, 1)
-		pin += rail.PIn
-		bd.Add(st.Breakdown)
-		bd.Add(rail.Breakdown)
-		rails.Append(rail.Rail)
+// EvaluateGrid evaluates every grid point into out[:g.Len()], bitwise
+// identical to calling Evaluate per point.
+func (m *IMBVRModel) EvaluateGrid(g *Grid, out []Result) error {
+	if err := CheckGridOut(g, out); err != nil {
+		return err
 	}
-	saOut := BoardRail(m.sa, []Load{s.Loads[domain.SA]}, p.TOBMBVR, p.RPG, p.SALL, s.PSU, s.CState, false)
-	ioOut := BoardRail(m.io, []Load{s.Loads[domain.IO]}, p.TOBMBVR, p.RPG, p.IOLL, s.PSU, s.CState, false)
-	pin += saOut.PIn + ioOut.PIn
-	bd.Add(saOut.Breakdown)
-	bd.Add(ioOut.Breakdown)
-	rails.Append(saOut.Rail)
-	rails.Append(ioOut.Rail)
-	return Finish(IMBVR, s.TotalNominal(), pin, bd, rails, p.IVRInLL), nil
+	var memo Memo
+	for i := range g.s {
+		out[i] = Result{}
+		if err := m.eval(&g.s[i], &memo, &out[i]); err != nil {
+			return GridPointError(i, err)
+		}
+	}
+	return nil
+}
+
+func (m *IMBVRModel) eval(s *Scenario, memo *Memo, r *Result) error {
+	if err := Validate(s); err != nil {
+		return err
+	}
+	var st StageOut
+	m.stage.Eval(s, memo, &st)
+	pin := m.rails.Eval(&st, m.params.VINLevel, m.params.IVRInLL, s, memo, r)
+	Finish(r, IMBVR, s.TotalNominal(), pin, m.params.IVRInLL)
+	return nil
 }
 
 // New constructs a baseline model of the given kind (not FlexWatts, which

@@ -1,8 +1,10 @@
 package pdn
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/units"
-	"repro/internal/vr"
 )
 
 // Params carries the PDN model constants of Table 2. The zero value is not
@@ -70,11 +72,31 @@ func DefaultParams() Params {
 	}
 }
 
-// newComputeLDOs instantiates one LDO per compute domain.
-func newComputeLDOs(p Params) map[string]*vr.LDO {
-	out := make(map[string]*vr.LDO, 4)
-	for _, name := range []string{"LDO_Core0", "LDO_Core1", "LDO_LLC", "LDO_GFX"} {
-		out[name] = vr.NewPlatformLDO(name, p.IVRIccmax)
+// Validate reports the first parameter the models cannot be built or
+// evaluated with: a supply or rail voltage, sharing penalty or Iccmax that
+// is not positive and finite, or a tolerance band, power-gate impedance or
+// load-line that is negative or not finite. Models built from invalid
+// parameters panic while compiling their regulators.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name   string
+		v      float64
+		zeroOK bool
+	}{
+		{"PSU", p.PSU, false}, {"VINLevel", p.VINLevel, false}, {"FlexSharePenalty", p.FlexSharePenalty, false},
+		{"VINIccmax", p.VINIccmax, false}, {"CoresIccmax", p.CoresIccmax, false}, {"GfxIccmax", p.GfxIccmax, false},
+		{"SAIccmax", p.SAIccmax, false}, {"IOIccmax", p.IOIccmax, false}, {"IVRIccmax", p.IVRIccmax, false},
+		{"TOBIVR", p.TOBIVR, true}, {"TOBMBVR", p.TOBMBVR, true}, {"TOBLDO", p.TOBLDO, true}, {"RPG", p.RPG, true},
+		{"IVRInLL", p.IVRInLL, true}, {"LDOInLL", p.LDOInLL, true}, {"CoresLL", p.CoresLL, true},
+		{"GfxLL", p.GfxLL, true}, {"SALL", p.SALL, true}, {"IOLL", p.IOLL, true},
+	} {
+		if !(f.v > 0 || f.zeroOK && f.v == 0) || math.IsInf(f.v, 1) {
+			sign := "positive"
+			if f.zeroOK {
+				sign = "non-negative"
+			}
+			return fmt.Errorf("pdn: parameter %s must be %s and finite, got %g", f.name, sign, f.v)
+		}
 	}
-	return out
+	return nil
 }

@@ -9,6 +9,13 @@
 // power-gate drops, rail-sharing voltage overhead, on-chip VR losses
 // (Eq. 6/10/11), load-line compensation (Eq. 3/4/7/8) and off-chip VR losses
 // (Eq. 5/9/12). The per-category loss breakdown reproduces Fig 5.
+//
+// Each model is assembled from the stages in stages.go, built once at
+// construction with its regulators compiled at the rail voltages they see
+// (the supply voltage Params.PSU for the off-chip VRs). A model evaluates a
+// point with one per-point function: Evaluate runs it on one scenario, and
+// EvaluateGrid runs it on every point of a Grid with a previous-point Memo,
+// so the two return identical results.
 package pdn
 
 import (
@@ -95,8 +102,8 @@ type Load struct {
 func (l Load) Active() bool { return l.PNom > 0 }
 
 // Scenario is a complete evaluation point: the six domain loads plus the
-// package power state (which selects VR power states) and the power-supply
-// voltage.
+// package power state (which selects VR power states). The supply voltage
+// is a model parameter (Params.PSU), not part of the point.
 //
 // Loads is a fixed-size value array indexed by domain.Kind — the zero Load
 // is an idle (power-gated) domain, so "absent" and "idle" are the same
@@ -108,13 +115,11 @@ func (l Load) Active() bool { return l.PNom > 0 }
 type Scenario struct {
 	Loads  [domain.NumKinds]Load
 	CState domain.CState
-	PSU    units.Volt
 }
 
-// NewScenario returns a scenario with the default 7.2 V supply (the battery
-// voltage used for Fig 3) in package state C0.
+// NewScenario returns an all-idle scenario in package state C0.
 func NewScenario() Scenario {
-	return Scenario{CState: domain.C0, PSU: 7.2}
+	return Scenario{CState: domain.C0}
 }
 
 // TotalNominal returns ΣPNOM across all domains, the numerator of ETEE.
@@ -247,36 +252,4 @@ func VRStateFor(c domain.CState, iout units.Amp) vr.PowerState {
 	default: // C8 and deeper
 		return vr.PS4
 	}
-}
-
-// groupAR returns the effective application ratio of a set of loads sharing
-// one rail: the ratio of their summed power to their summed worst-case
-// (virus) power, so that Ppeak_group = Σ P_i/AR_i.
-func groupAR(loads []Load) float64 {
-	var p, ppeak units.Watt
-	for _, l := range loads {
-		if !l.Active() {
-			continue
-		}
-		p += l.PNom
-		ppeak += l.PNom / l.AR
-	}
-	if ppeak == 0 {
-		return 1
-	}
-	return p / ppeak
-}
-
-// offChipInput runs an off-chip buck VR stage: given power p delivered at
-// rail voltage vout, it returns the input power drawn from the PSU and the
-// conversion loss, selecting the VR power state per the package state.
-func offChipInput(b *vr.Buck, psu, vout units.Volt, p units.Watt, c domain.CState) (pin, loss units.Watt) {
-	if p == 0 {
-		return 0, 0
-	}
-	iout := p / vout
-	state := VRStateFor(c, iout)
-	eta := b.Efficiency(vr.OperatingPoint{Vin: psu, Vout: vout, Iout: iout, State: state})
-	pin = p / eta
-	return pin, pin - p
 }

@@ -78,9 +78,9 @@ func TestValidationErrors(t *testing.T) {
 	}
 
 	s := activeScenario(3, 0.7, 0.6)
-	s.PSU = 0
+	s.Loads[domain.Core0].AR = 0
 	if _, err := m.Evaluate(s); err == nil {
-		t.Error("zero PSU accepted")
+		t.Error("zero AR accepted")
 	}
 
 	s = activeScenario(3, 0.7, 0.6)

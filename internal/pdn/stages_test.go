@@ -9,23 +9,22 @@ import (
 	"repro/internal/vr"
 )
 
-func computeLoads(p units.Watt, v units.Volt, ar float64) []Load {
-	return []Load{
-		{PNom: p / 2, VNom: v, FL: 0.22, AR: ar},
-		{PNom: p / 2, VNom: v, FL: 0.22, AR: ar},
-		{PNom: p / 6, VNom: v, FL: 0.22, AR: ar},
-		{}, // idle
-	}
+// computeScenario loads the compute domains: two cores and the LLC at v,
+// graphics idle.
+func computeScenario(p units.Watt, v units.Volt, ar float64) Scenario {
+	s := NewScenario()
+	s.Loads[domain.Core0] = Load{PNom: p / 2, VNom: v, FL: 0.22, AR: ar}
+	s.Loads[domain.Core1] = Load{PNom: p / 2, VNom: v, FL: 0.22, AR: ar}
+	s.Loads[domain.LLC] = Load{PNom: p / 6, VNom: v, FL: 0.22, AR: ar}
+	return s
 }
 
 func TestIVRStage(t *testing.T) {
-	ivr := vr.NewIVR("ivr", 45)
-	loads := computeLoads(6, 0.8, 0.6)
-	out := IVRStage(loads, ivr, units.MilliVolt(20), 1.8, domain.C0)
-	var pnom units.Watt
-	for _, l := range loads {
-		pnom += l.PNom
-	}
+	st := NewIVRStage(vr.NewIVR("ivr", 45), domain.ComputeKinds(), units.MilliVolt(20), 1.8)
+	s := computeScenario(6, 0.8, 0.6)
+	var out StageOut
+	st.Eval(&s, nil, &out)
+	pnom := s.TotalNominal()
 	if !(out.PIn > pnom) {
 		t.Errorf("stage input %g must exceed nominal %g", out.PIn, pnom)
 	}
@@ -37,39 +36,38 @@ func TestIVRStage(t *testing.T) {
 		t.Errorf("group AR %g, want 0.6", out.AR)
 	}
 	// No active loads: zero stage.
-	empty := IVRStage([]Load{{}}, ivr, units.MilliVolt(20), 1.8, domain.C0)
+	idle := NewScenario()
+	var empty StageOut
+	st.Eval(&idle, nil, &empty)
 	if empty.PIn != 0 || empty.AR != 1 {
 		t.Errorf("empty stage: %+v", empty)
 	}
 }
 
 func TestLDOStageBypass(t *testing.T) {
-	ldo := vr.NewPlatformLDO("ldo", 45)
+	st := NewLDOStage(vr.NewPlatformLDO("ldo", 45), domain.ComputeKinds(), units.MilliVolt(17))
 	// All compute domains at the same voltage: everything runs in bypass,
 	// so the on-chip loss is only the tolerance band + bypass drop.
-	loads := computeLoads(6, 0.8, 0.6)
-	vin, out := LDOStage(loads, ldo, units.MilliVolt(17))
+	s := computeScenario(6, 0.8, 0.6)
+	var out StageOut
+	vin := st.Eval(&s, nil, &out)
 	if math.Abs(vin-(0.8+0.017)) > 1e-9 {
 		t.Errorf("rail voltage %g, want 0.817", vin)
 	}
-	var pnom units.Watt
-	for _, l := range loads {
-		pnom += l.PNom
-	}
-	if out.Breakdown.OnChipVR > 0.02*pnom {
+	if pnom := s.TotalNominal(); out.Breakdown.OnChipVR > 0.02*pnom {
 		t.Errorf("bypass mode should have tiny on-chip loss, got %g on %g", out.Breakdown.OnChipVR, pnom)
 	}
 }
 
 func TestLDOStageRegulation(t *testing.T) {
-	ldo := vr.NewPlatformLDO("ldo", 45)
+	st := NewLDOStage(vr.NewPlatformLDO("ldo", 45), domain.ComputeKinds(), units.MilliVolt(17))
 	// Cores at 0.55V under a 1.0V GFX rail: the cores pay ~45% conversion
 	// loss through their LDO (§5 Observation 2's mechanism).
-	loads := []Load{
-		{PNom: 2, VNom: 0.55, FL: 0.22, AR: 0.6},
-		{PNom: 5, VNom: 1.0, FL: 0.45, AR: 0.6},
-	}
-	vin, out := LDOStage(loads, ldo, units.MilliVolt(17))
+	s := NewScenario()
+	s.Loads[domain.Core0] = Load{PNom: 2, VNom: 0.55, FL: 0.22, AR: 0.6}
+	s.Loads[domain.GFX] = Load{PNom: 5, VNom: 1.0, FL: 0.45, AR: 0.6}
+	var out StageOut
+	vin := st.Eval(&s, nil, &out)
 	if vin < 1.0 {
 		t.Errorf("rail must follow the max domain voltage, got %g", vin)
 	}
@@ -78,33 +76,36 @@ func TestLDOStageRegulation(t *testing.T) {
 		t.Errorf("voltage-split LDO loss %g too small", out.Breakdown.OnChipVR)
 	}
 	// Empty stage.
-	vin, empty := LDOStage([]Load{{}}, ldo, units.MilliVolt(17))
+	idle := NewScenario()
+	var empty StageOut
+	vin = st.Eval(&idle, nil, &empty)
 	if vin != 0 || empty.PIn != 0 {
 		t.Error("empty LDO stage should be zero")
 	}
 }
 
 func TestVinRailAttribution(t *testing.T) {
-	b := vr.NewVinVR(45)
+	v := newVinRail(vr.NewVinVR(45), 7.2)
 	st := StageOut{PIn: 10, AR: 0.5}
-	out := VinRail(b, st, 1.8, units.MilliOhm(1), 7.2, domain.C0, 0.7)
-	if out.PIn <= st.PIn {
+	var r Result
+	pin := v.eval(&st, 1.8, units.MilliOhm(1), domain.C0, 0.7, &r)
+	if pin <= st.PIn {
 		t.Error("rail must add loss")
 	}
 	// The conduction loss splits 70/30 between compute and uncore.
-	total := out.Breakdown.CondCompute + out.Breakdown.CondUncore
+	total := r.Breakdown.CondCompute + r.Breakdown.CondUncore
 	if total <= 0 {
 		t.Fatal("no conduction loss")
 	}
-	if math.Abs(out.Breakdown.CondCompute/total-0.7) > 1e-9 {
-		t.Errorf("compute share %.2f, want 0.70", out.Breakdown.CondCompute/total)
+	if math.Abs(r.Breakdown.CondCompute/total-0.7) > 1e-9 {
+		t.Errorf("compute share %.2f, want 0.70", r.Breakdown.CondCompute/total)
 	}
-	if out.Rail.Name != "V_IN" || out.Rail.Current <= 0 || out.Rail.Peak <= out.Rail.Current {
-		t.Errorf("rail draw %+v", out.Rail)
+	if rail := r.Rails.At(0); rail.Name != "V_IN" || rail.Current <= 0 || rail.Peak <= rail.Current {
+		t.Errorf("rail draw %+v", rail)
 	}
 	// Zero stage passes through as zero.
-	zero := VinRail(b, StageOut{}, 1.8, units.MilliOhm(1), 7.2, domain.C0, 1)
-	if zero.PIn != 0 {
+	var zr Result
+	if zero := v.eval(&StageOut{}, 1.8, units.MilliOhm(1), domain.C0, 1, &zr); zero != 0 {
 		t.Error("zero stage should draw nothing")
 	}
 }
@@ -114,29 +115,31 @@ func TestBoardRailSharingOvervolt(t *testing.T) {
 	tob := units.MilliVolt(19)
 	rpg := units.MilliOhm(1.5)
 	rll := units.MilliOhm(2.5)
+	rail := newBoardRail(b, 7.2, []domain.Kind{domain.GFX, domain.LLC}, tob, rpg, rll, true, 0)
+	gfx := Load{PNom: 5, VNom: 0.9, FL: 0.45, AR: 0.6}
+	llc := Load{PNom: 1, VNom: 1.1, FL: 0.22, AR: 0.6}
+	run := func(loads ...Load) (units.Watt, RailDraw) {
+		s := NewScenario()
+		s.Loads[domain.GFX], s.Loads[domain.LLC] = loads[0], loads[1]
+		var r Result
+		pin := rail.run(&s, nil, &r)
+		return pin, r.Rails.At(0)
+	}
 	// A lone 0.9V load...
-	alone := BoardRail(b, []Load{
-		{PNom: 5, VNom: 0.9, FL: 0.45, AR: 0.6},
-	}, tob, rpg, rll, 7.2, domain.C0, true)
+	alone, _ := run(gfx, Load{})
 	// ...versus sharing the rail with a 1.1V domain: the 0.9V load gets
 	// over-volted and the rail draws strictly more than the sum of parts.
-	shared := BoardRail(b, []Load{
-		{PNom: 5, VNom: 0.9, FL: 0.45, AR: 0.6},
-		{PNom: 1, VNom: 1.1, FL: 0.22, AR: 0.6},
-	}, tob, rpg, rll, 7.2, domain.C0, true)
-	llcAlone := BoardRail(b, []Load{
-		{PNom: 1, VNom: 1.1, FL: 0.22, AR: 0.6},
-	}, tob, rpg, rll, 7.2, domain.C0, true)
-	if !(shared.PIn > alone.PIn+llcAlone.PIn-0.3) { // fixed losses amortize; overvolt dominates
+	shared, sharedRail := run(gfx, llc)
+	llcAlone, _ := run(Load{}, llc)
+	if !(shared > alone+llcAlone-0.3) { // fixed losses amortize; overvolt dominates
 		t.Errorf("sharing with a higher-voltage domain should cost: %.2f vs %.2f+%.2f",
-			shared.PIn, alone.PIn, llcAlone.PIn)
+			shared, alone, llcAlone)
 	}
-	if shared.Rail.VOut <= 1.1 {
-		t.Errorf("shared rail voltage %.3f should sit above the max domain voltage", shared.Rail.VOut)
+	if sharedRail.VOut <= 1.1 {
+		t.Errorf("shared rail voltage %.3f should sit above the max domain voltage", sharedRail.VOut)
 	}
 	// Empty rail.
-	empty := BoardRail(b, []Load{{}}, tob, rpg, rll, 7.2, domain.C0, false)
-	if empty.PIn != 0 {
+	if empty, _ := run(Load{}, Load{}); empty != 0 {
 		t.Error("empty rail should draw nothing")
 	}
 }

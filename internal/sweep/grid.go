@@ -9,21 +9,22 @@ import (
 	"repro/internal/pdn"
 )
 
-// GridEvaluator is a pdn.Model with a batch evaluation path. The batch
-// contract (internal/pdn/grid.go) is bitwise identity with the scalar
-// Evaluate, which is what makes it safe to mix grid- and scalar-computed
-// results in one Cache: whichever path resolves a key first stores the
-// same float64 bits the other would have.
+// GridEvaluator is a pdn.Model with a batch evaluation path. Every model
+// runs one per-point path behind both Evaluate and EvaluateGrid (a grid
+// run only adds previous-point memos, see pdn.Memo), so the two return
+// identical bits, which is what makes it safe to mix grid- and
+// per-point-computed results in one Cache: whichever path resolves a key
+// first stores the same float64 bits the other would have.
 type GridEvaluator interface {
 	pdn.Model
 	EvaluateGrid(g *pdn.Grid, out []pdn.Result) error
 }
 
 // gridBlock is the cache-consultation granularity of EvaluateGrid: keys
-// are looked up (and claimed) a block at a time, then one kernel call
-// resolves the block's misses. Big enough to amortize the kernel's
-// per-call invariant hoisting and the per-shard lock acquisitions, small
-// enough that one pooled probe scratch covers any grid length.
+// are looked up (and claimed) a block at a time, then one EvaluateGrid
+// call resolves the block's misses. Big enough to amortize the per-shard
+// lock acquisitions and keep the grid run's memos warm, small enough that
+// one pooled probe scratch covers any grid length.
 const gridBlock = 256
 
 // gridProbe is EvaluateGrid's per-block scratch: precomputed keys and
@@ -48,7 +49,7 @@ var gridProbePool = sync.Pool{New: func() any { return new(gridProbe) }}
 // EvaluateGrid evaluates every grid point into out[:g.Len()], consulting
 // the cache per point exactly as Evaluate does — same key, same hit/miss
 // accounting, same once-per-key model invocation — but resolving each
-// block's misses with a single EvaluateGrid kernel call instead of
+// block's misses with a single EvaluateGrid call instead of
 // per-point Evaluate. On a warm cache no model is invoked at all.
 // Concurrent scalar and grid evaluations of the same key are safe: the
 // entry's creator-computes protocol guarantees exactly one model
@@ -56,7 +57,8 @@ var gridProbePool = sync.Pool{New: func() any { return new(gridProbe) }}
 //
 // Per-point errors surface as the lowest failing index wrapped by
 // pdn.GridPointError; results for preceding points are valid. A nil cache
-// routes straight to the kernel (or a scalar loop for models without one).
+// routes straight to EvaluateGrid (or an Evaluate loop for models without
+// one).
 func (c *Cache) EvaluateGrid(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
 	if err := pdn.CheckGridOut(g, out); err != nil {
 		return err
@@ -156,7 +158,7 @@ func (c *Cache) EvaluateGrid(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
 		}
 		// Accounting in one batch per block (totals match Evaluate's
 		// per-point adds), and the miss list rebuilt in ascending point
-		// order for the kernel.
+		// order for the grid run.
 		nm := 0
 		var nh int64
 		for j := 0; j < bn; j++ {
@@ -169,14 +171,14 @@ func (c *Cache) EvaluateGrid(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
 		}
 		c.hits.Add(nh)
 		c.misses.Add(int64(nm))
-		// Resolve the block's claimed keys with one kernel call and publish
+		// Resolve the block's claimed keys with one EvaluateGrid call and publish
 		// each under its entry. This call is the creator of every entry in
 		// missIdx, so it alone computes them — that is the
 		// exactly-one-invocation contract scalar racers rely on when they
 		// block on done below.
 		// Duplicate keys within a block alias one entry: the first
 		// occurrence creates (and appears here), later ones are hits. If
-		// the kernel rejects the sub-grid (an invalid point), fall back to
+		// the grid run rejects the sub-grid (an invalid point), fall back to
 		// scalar per-point resolution so every claimed entry still ends up
 		// with exactly the scalar result or error.
 		if nm > 0 {
@@ -216,8 +218,8 @@ func (c *Cache) EvaluateGrid(m pdn.Model, g *pdn.Grid, out []pdn.Result) error {
 // adaptiveChunk sizes GridMapCtx's work unit for a grid of n points on
 // the given worker count: aim for several chunks per worker so a slow
 // chunk doesn't straggle the whole grid, but never slice finer than a
-// quarter cache block — below that the kernel's per-block invariant
-// hoisting and the shard-batched probe stop amortizing.
+// quarter cache block — below that the grid run's memos and the
+// shard-batched probe stop amortizing.
 func adaptiveChunk(n, workers int) int {
 	if workers <= 1 {
 		return gridBlock

@@ -6,21 +6,13 @@ import (
 	"repro/internal/units"
 )
 
-// This file implements compiled buck operating points: the per-(Vin, power
-// state) invariants of the loss model hoisted out of the per-evaluation
-// call. On a grid sweep the input voltage and the candidate power states of
-// a rail are fixed while Vout/Iout vary per point, so the fixed controller
-// loss, the Vin²-scaled switching loss and the KOverlap·Vin prefix can be
-// computed once per grid instead of once per point — and the BuckParams
-// struct copy that dominates the scalar path's profile disappears entirely.
-//
-// Bitwise contract: BuckOp.Efficiency returns the exact float64 bits of
-// Buck.Efficiency at the same operating point. Every hoisted term is a
-// prefix of the original left-associative expression — (KOverlap·Vin)·Iout
-// is the same operation sequence as KOverlap·Vin·Iout — and every term that
-// is not a pure prefix (the duty-cycle division, the dead-time product)
-// stays per-call in the original order. compile_test.go pins the equality
-// exhaustively across states, voltages and currents.
+// This file holds the buck loss formula, in compiled form: the per-(Vin,
+// power state) terms — the fixed controller loss, the Vin²-scaled
+// switching loss and the KOverlap·Vin prefix — are computed once by
+// Compile, and BuckOp.loss adds the terms that depend on the output
+// point. A PDN model compiles each of its bucks once, at construction,
+// for every power state at the rail voltage feeding it (BuckStates);
+// Buck.Loss and Buck.Efficiency compile per call.
 
 // BuckOp is a Buck's loss model compiled for one (Vin, PowerState) pair.
 // The zero value is not meaningful; obtain one from Buck.Compile.
@@ -38,15 +30,14 @@ type BuckOp struct {
 	light    bool // state >= PS1: single phase forced
 }
 
-// Compile hoists the (vin, ps)-dependent terms of the loss model. The
-// arithmetic mirrors Buck.loss term by term so the compiled constants carry
-// the same float64 bits the scalar path computes per call.
+// Compile hoists the (vin, ps)-dependent terms of the loss model.
 func (b *Buck) Compile(vin units.Volt, ps PowerState) BuckOp {
-	p := b.params
+	p := &b.params
 	var fixed, sw units.Watt
 	if ps >= PS1 {
 		fixed = p.PControlLight
 		sw = p.KSwitch * vin * vin / p.LightSwitchDiv
+		// Deeper states duty-cycle the regulator further.
 		if ps >= PS3 {
 			sw /= 4
 			fixed /= 2
@@ -70,8 +61,17 @@ func (b *Buck) Compile(vin units.Volt, ps PowerState) BuckOp {
 	}
 }
 
-// loss mirrors Buck.loss with the compiled constants substituted.
+// Buck headroom constants: regulation degrades beyond 85% duty cycle, with
+// the penalty reaching headroomLossK of the output power at 100% duty.
+const (
+	maxBuckDuty   = 0.85
+	headroomLossK = 0.25
+)
+
+// loss is the total conversion loss at (vout, iout).
 func (o *BuckOp) loss(vout units.Volt, iout units.Amp) units.Watt {
+	// Phase shedding: enough phases to keep per-phase current at or below
+	// PhaseCurrent, capped at MaxPhases; light-load states force one.
 	n := 1
 	if !o.light {
 		n = int(math.Ceil(iout / o.phaseCur))
@@ -91,6 +91,10 @@ func (o *BuckOp) loss(vout units.Volt, iout units.Amp) units.Watt {
 	dt := o.vdt * (1 - duty) * iout
 	drv := o.kdrv * iout
 	cond := rEff * iout * iout
+	// Headroom penalty: a buck cannot regulate with the output close to
+	// the input (§2.2: SVRs "require a large difference in the
+	// input/output voltage levels"). Past ~85% duty the minimum off-time
+	// forces cycle skipping and the conversion degrades sharply.
 	var head units.Watt
 	if duty > maxBuckDuty {
 		head = headroomLossK * vout * iout * (duty - maxBuckDuty) / (1 - maxBuckDuty)
@@ -98,8 +102,8 @@ func (o *BuckOp) loss(vout units.Volt, iout units.Amp) units.Watt {
 	return o.fixed + o.sw + ovl + dt + drv + cond + head
 }
 
-// Efficiency returns exactly Buck.Efficiency(OperatingPoint{Vin, Vout,
-// Iout, State}) for the compiled (Vin, State), bit for bit.
+// Efficiency returns Pout/(Pout+Ploss) at (vout, iout), bounded below by
+// EtaFloor.
 func (o *BuckOp) Efficiency(vout units.Volt, iout units.Amp) float64 {
 	if iout <= 0 {
 		return o.etaFloor
@@ -113,8 +117,8 @@ func (o *BuckOp) Efficiency(vout units.Volt, iout units.Amp) float64 {
 }
 
 // BuckStates holds one compiled operating point per modeled power state
-// (PS0–PS4) at a fixed Vin, so grid kernels can select by the per-point
-// VR state without recompiling.
+// (PS0–PS4) at a fixed Vin, so a model selects by the per-point VR state
+// without recompiling.
 type BuckStates struct {
 	ops [PS4 + 1]BuckOp
 }

@@ -24,7 +24,6 @@ package vr
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/units"
 )
@@ -173,84 +172,17 @@ func (b *Buck) MaxCurrent() units.Amp { return b.params.Iccmax }
 // Params returns the loss-model parameters (a copy).
 func (b *Buck) Params() BuckParams { return b.params }
 
-// phases returns the number of active phases for a load current under the
-// phase-shedding policy: enough phases to keep per-phase current at or below
-// PhaseCurrent, capped at MaxPhases. Light-load power states force a single
-// phase.
-func (b *Buck) phases(iout units.Amp, ps PowerState) int {
-	if ps >= PS1 {
-		return 1
-	}
-	n := int(math.Ceil(iout / b.params.PhaseCurrent))
-	if n < 1 {
-		n = 1
-	}
-	if n > b.params.MaxPhases {
-		n = b.params.MaxPhases
-	}
-	return n
-}
-
 // Loss returns the total conversion loss in watts at the operating point.
-func (b *Buck) Loss(op OperatingPoint) units.Watt { return b.loss(&op) }
-
-// loss is the pointer-argument form Efficiency uses on the hot path (one
-// OperatingPoint copy per call adds up across millions of evaluations).
-func (b *Buck) loss(op *OperatingPoint) units.Watt {
-	p := b.params
-	var fixed, sw units.Watt
-	if op.State >= PS1 {
-		fixed = p.PControlLight
-		sw = p.KSwitch * op.Vin * op.Vin / p.LightSwitchDiv
-		// Deeper states duty-cycle the regulator further.
-		if op.State >= PS3 {
-			sw /= 4
-			fixed /= 2
-		}
-	} else {
-		fixed = p.PControl
-		sw = p.KSwitch * op.Vin * op.Vin
-	}
-	n := b.phases(op.Iout, op.State)
-	rEff := p.RSeries / float64(n)
-	ovl := p.KOverlap * op.Vin * op.Iout
-	duty := 0.0
-	if op.Vin > 0 {
-		duty = units.Clamp(op.Vout/op.Vin, 0, 1)
-	}
-	dt := p.VDeadTime * (1 - duty) * op.Iout
-	drv := p.KDriver * op.Iout
-	cond := rEff * op.Iout * op.Iout
-	// Headroom penalty: a buck cannot regulate with the output close to
-	// the input (§2.2: SVRs "require a large difference in the
-	// input/output voltage levels"). Past ~85% duty the minimum off-time
-	// forces cycle skipping and the conversion degrades sharply.
-	var head units.Watt
-	if duty > maxBuckDuty {
-		head = headroomLossK * op.Vout * op.Iout * (duty - maxBuckDuty) / (1 - maxBuckDuty)
-	}
-	return fixed + sw + ovl + dt + drv + cond + head
+func (b *Buck) Loss(op OperatingPoint) units.Watt {
+	o := b.Compile(op.Vin, op.State)
+	return o.loss(op.Vout, op.Iout)
 }
-
-// Buck headroom constants: regulation degrades beyond 85% duty cycle, with
-// the penalty reaching headroomLossK of the output power at 100% duty.
-const (
-	maxBuckDuty   = 0.85
-	headroomLossK = 0.25
-)
 
 // Efficiency implements Regulator. It returns Pout/(Pout+Ploss) bounded
 // below by EtaFloor.
 func (b *Buck) Efficiency(op OperatingPoint) float64 {
-	if op.Iout <= 0 {
-		return b.params.EtaFloor
-	}
-	pout := op.Vout * op.Iout
-	eta := pout / (pout + b.loss(&op))
-	if eta < b.params.EtaFloor {
-		eta = b.params.EtaFloor
-	}
-	return eta
+	o := b.Compile(op.Vin, op.State)
+	return o.Efficiency(op.Vout, op.Iout)
 }
 
 // LDOParams parameterizes the low-dropout linear regulator model.

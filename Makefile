@@ -83,12 +83,14 @@ slo:
 
 # Short-budget fuzz runs through the two real entry points — the daemon's
 # evaluate request (decoded, then served through the handler) and the
-# library's Client.Evaluate — plus the grid memos against per-point
-# evaluation and the frozen reference. -fuzz accepts one package at a
-# time, so three sequential invocations.
+# library's Client.Evaluate — plus the evaluate wire codec against its
+# frozen encoding/json reference, and the grid memos against per-point
+# evaluation and the frozen reference. -fuzz accepts one target at a time,
+# so four sequential invocations.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvalRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./flexwatts
 	$(GO) test -run '^$$' -fuzz '^FuzzEvaluateGrid$$' -fuzztime $(FUZZTIME) .
 

@@ -6,12 +6,18 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/flexwatts/api"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -21,6 +27,7 @@ import (
 	"repro/internal/pdn"
 	"repro/internal/perf"
 	"repro/internal/refmodel"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/units"
@@ -534,3 +541,26 @@ func BenchmarkCostModel(b *testing.B) {
 
 // BenchmarkNoise regenerates the §6 mode-switch droop analysis.
 func BenchmarkNoise(b *testing.B) { benchExperiment(b, "noise") }
+
+// BenchmarkEvaluateHandler measures one in-process 4096-point mixed POST
+// per iteration on each evaluate route: request decode, job building, the
+// grouped grid-kernel pass and the response encoding, with no network.
+func BenchmarkEvaluateHandler(b *testing.B) {
+	const n = 4096
+	body := mixedEvalBody(b, n)
+	for _, path := range []string{api.PathEvaluate, api.PathEvaluateStream} {
+		b.Run(strings.TrimPrefix(path, "/v1/"), func(b *testing.B) {
+			h := server.New(benchEnv(b), server.Options{}).Handler()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %.200s", rec.Code, rec.Body.String())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
+		})
+	}
+}

@@ -179,6 +179,57 @@ func TestInvalidPoints(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTDPRejected pins that a NaN or infinite TDP is an invalid
+// point on every PDN, for active and idle points alike, instead of a NaN
+// result with a nil error.
+func TestNonFiniteTDPRejected(t *testing.T) {
+	c := newClient(t)
+	for _, tdp := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, k := range flexwatts.AllKinds() {
+			for _, pt := range []flexwatts.Point{
+				{PDN: k, TDP: flexwatts.Watt(tdp), Workload: flexwatts.MultiThread, AR: 0.5},
+				{PDN: k, TDP: flexwatts.Watt(tdp), CState: flexwatts.C6},
+			} {
+				res, err := c.Evaluate(ctx, pt)
+				if !errors.Is(err, flexwatts.ErrInvalidPoint) {
+					t.Errorf("Evaluate(%+v) = ETEE %g, err %v; want ErrInvalidPoint", pt, res.ETEE, err)
+				}
+			}
+		}
+	}
+}
+
+// TestParseEnumsAllocFree pins the canonical-spelling fast paths: every
+// name String renders parses back with no allocation.
+func TestParseEnumsAllocFree(t *testing.T) {
+	check := func(name string, parse func() error) {
+		t.Helper()
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := parse(); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("parsing %q: %.1f allocs/op, want 0", name, avg)
+		}
+	}
+	for _, wt := range append(flexwatts.WorkloadTypes(), flexwatts.BatteryLife, flexwatts.WorkloadUnset) {
+		s := wt.String()
+		check(s, func() error { _, err := flexwatts.ParseWorkloadType(s); return err })
+	}
+	for _, m := range append(flexwatts.Modes(), flexwatts.ModeNone) {
+		s := m.String()
+		check(s, func() error { _, err := flexwatts.ParseMode(s); return err })
+	}
+	for _, k := range flexwatts.AllKinds() {
+		s := k.String()
+		check(s, func() error { _, err := flexwatts.ParseKind(s); return err })
+	}
+	for _, c := range flexwatts.CStates() {
+		s := c.String()
+		check(s, func() error { _, err := flexwatts.ParseCState(s); return err })
+	}
+}
+
 // TestInvalidParams pins NewClient's parameter check: every field whose
 // bad value would otherwise panic while the regulators are built or a
 // point is evaluated fails with ErrInvalidParams instead.

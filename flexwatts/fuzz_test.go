@@ -29,6 +29,10 @@ func FuzzEvaluate(f *testing.F) {
 	f.Add(int(flexwatts.MBVR), 50.0, int(flexwatts.MultiThread), 5e-324, int(flexwatts.C0))
 	f.Add(int(flexwatts.MBVR), 50.0, int(flexwatts.MultiThread), 1e-83, int(flexwatts.C0))
 	f.Add(int(flexwatts.FlexWatts), 50.0, int(flexwatts.MultiThread), 1e-300, int(flexwatts.C0))
+	// Non-finite TDPs, once a NaN result with a nil error.
+	f.Add(int(flexwatts.IVR), math.NaN(), int(flexwatts.MultiThread), 0.5, int(flexwatts.C0))
+	f.Add(int(flexwatts.FlexWatts), math.Inf(1), int(flexwatts.WorkloadUnset), 0.0, int(flexwatts.C6))
+	f.Add(int(flexwatts.MBVR), math.Inf(-1), int(flexwatts.Graphics), 0.7, int(flexwatts.C0))
 
 	f.Fuzz(func(t *testing.T, kind int, tdp float64, wl int, ar float64, cs int) {
 		pt := flexwatts.Point{

@@ -2,6 +2,7 @@ package flexwatts
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -95,6 +96,19 @@ func (t WorkloadType) String() string {
 // case-insensitively and with the hyphen optional, plus the CLI shorthands
 // "st", "mt" and "gfx". The empty string parses to WorkloadUnset.
 func ParseWorkloadType(s string) (WorkloadType, error) {
+	// The names as String renders them parse without normalizing.
+	switch s {
+	case "":
+		return WorkloadUnset, nil
+	case "Single-Thread":
+		return SingleThread, nil
+	case "Multi-Thread":
+		return MultiThread, nil
+	case "Graphics":
+		return Graphics, nil
+	case "Battery-Life":
+		return BatteryLife, nil
+	}
 	norm := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(s), "-", ""))
 	switch norm {
 	case "":
@@ -234,6 +248,15 @@ func (m Mode) String() string {
 // shorthands "ivr"/"ldo"), case-insensitively. The empty string parses to
 // ModeNone.
 func ParseMode(s string) (Mode, error) {
+	// The names as String renders them parse without normalizing.
+	switch s {
+	case "":
+		return ModeNone, nil
+	case "IVR-Mode":
+		return IVRMode, nil
+	case "LDO-Mode":
+		return LDOMode, nil
+	}
 	norm := strings.ToLower(strings.ReplaceAll(strings.TrimSpace(s), "-", ""))
 	switch norm {
 	case "":
@@ -347,8 +370,8 @@ type Point struct {
 // C-state and workload must be known values, an idle point must not carry
 // active-point parameters (they would be silently ignored), and an active
 // point needs a workload class and an AR in [0.01,1] (below 0.01 the
-// models' worst-case current term overflows).
-// Range checks on TDP happen at evaluation time against the modeled TDP
+// models' worst-case current term overflows). The TDP must be finite;
+// range checks on it happen at evaluation time against the modeled TDP
 // axis. Errors wrap ErrInvalidPoint.
 func (p Point) Validate() error {
 	if p.CState < C0 || p.CState > C8 {
@@ -356,6 +379,9 @@ func (p Point) Validate() error {
 	}
 	if p.Workload < WorkloadUnset || p.Workload > BatteryLife {
 		return fmt.Errorf("%w: unknown workload %d", ErrInvalidPoint, int(p.Workload))
+	}
+	if tdp := float64(p.TDP); math.IsNaN(tdp) || math.IsInf(tdp, 0) {
+		return fmt.Errorf("%w: TDP %g is not finite", ErrInvalidPoint, tdp)
 	}
 	if p.CState != C0 {
 		if p.Workload != WorkloadUnset || p.AR != 0 {

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/flexwatts/api"
@@ -286,3 +289,23 @@ func (s *Server) handleOptimizeStream(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 }
+
+// streamBufBytes sizes the /v1/optimize/stream write buffer.
+const streamBufBytes = 32 << 10
+
+// streamCodec pools the per-stream write stack — the 32 KiB bufio.Writer
+// and the JSON encoder bound to it — so each stream request rebinds a
+// recycled buffer to its connection instead of allocating both. Before a
+// codec returns to the pool its writer is reset onto nil, dropping the
+// connection reference so a pooled codec never pins a finished request's
+// transport.
+type streamCodec struct {
+	bw  *bufio.Writer
+	enc *json.Encoder
+}
+
+var streamCodecPool = sync.Pool{New: func() any {
+	c := &streamCodec{bw: bufio.NewWriterSize(nil, streamBufBytes)}
+	c.enc = json.NewEncoder(c.bw)
+	return c
+}}

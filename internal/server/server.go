@@ -14,6 +14,17 @@
 // cancelled client aborts the in-flight pass instead of burning the pool.
 // JSON responses are compact: one line plus a trailing newline.
 //
+// The two evaluate routes speak through a hand-written wire codec
+// (codec.go) instead of encoding/json: the size-capped body is read once
+// and scanned byte by byte, each point's job is built as its object
+// closes (enum names resolve through the flexwatts parsers, canonical
+// spellings without allocating), and results are appended with
+// strconv.AppendFloat into a pooled buffer. It keeps encoding/json's
+// contract exactly — the same statuses and wire codes for every body and
+// byte-identical 200 bodies, held to a frozen encoding/json reference by
+// FuzzDecodeEvalRequest — at a few dozen allocations per request instead
+// of nine per point. The other routes keep encoding/json.
+//
 // Endpoints:
 //
 //	GET  /healthz                          liveness + cache statistics
@@ -48,15 +59,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/flexwatts"
 	"repro/flexwatts/api"
 	"repro/flexwatts/report"
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/optimize"
 	"repro/internal/pdn"
-	"repro/internal/workload"
 )
 
 // Options tunes a Server.
@@ -276,45 +284,45 @@ func (s *Server) dataset(id string) (*report.Dataset, error) {
 	return m.ds, m.err
 }
 
-// evalCodec pools the response-encoding state of the hot /v1/evaluate
-// path: the JSON encoder and its backing buffer survive across requests,
-// so a steady batch load reuses one grown buffer per concurrent request
-// instead of allocating encoder state and response bytes each time. The
-// bytes produced are identical to writeJSON's (compact JSON, one trailing
+// jsonCodec pools the response-encoding state of the /v1/optimize
+// answer: the JSON encoder and its backing buffer survive across requests,
+// so a steady load reuses one grown buffer per concurrent request instead
+// of allocating encoder state and response bytes each time. The bytes
+// produced are identical to writeJSON's (compact JSON, one trailing
 // newline from Encode); only the allocation profile changes.
-type evalCodec struct {
+type jsonCodec struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
 
-var evalCodecPool = sync.Pool{New: func() any {
-	c := &evalCodec{}
+var jsonCodecPool = sync.Pool{New: func() any {
+	c := &jsonCodec{}
 	c.enc = json.NewEncoder(&c.buf)
 	return c
 }}
 
-// evalCodecMaxBytes bounds what returns to the pool, so one rare huge
-// response does not pin its buffer for the process lifetime.
-const evalCodecMaxBytes = 1 << 20
+// pooledBufMaxBytes bounds the response buffers that return to a pool, so
+// one rare huge response does not pin its buffer for the process lifetime.
+const pooledBufMaxBytes = 1 << 20
 
 // writeJSONPooled renders v exactly as writeJSON does, through a pooled
 // buffer. Unlike writeJSON it encodes before committing the status line,
 // so an unencodable value surfaces as a proper error response instead of
 // a truncated 200.
 func writeJSONPooled(w http.ResponseWriter, status int, v interface{}) {
-	c := evalCodecPool.Get().(*evalCodec)
+	c := jsonCodecPool.Get().(*jsonCodec)
 	c.buf.Reset()
 	if err := c.enc.Encode(v); err != nil {
 		c.buf.Reset()
-		evalCodecPool.Put(c)
+		jsonCodecPool.Put(c)
 		writeErr(w, fmt.Errorf("encoding response: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	w.Write(c.buf.Bytes()) //nolint:errcheck // response already committed
-	if c.buf.Cap() <= evalCodecMaxBytes {
-		evalCodecPool.Put(c)
+	if c.buf.Cap() <= pooledBufMaxBytes {
+		jsonCodecPool.Put(c)
 	}
 }
 
@@ -428,49 +436,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	b.WriteTo(w) //nolint:errcheck // client gone, nothing to do
 }
 
-// buildJob validates one request point into an evaluable job. Parsing and
-// validation are the library's: the wire point becomes a typed
-// flexwatts.Point (api.EvalPoint.Point) and Point.Validate applies the one
-// set of rules, so the daemon can never drift from what the library
-// considers a valid point; only the scenario construction is local.
-func (s *Server) buildJob(p api.EvalPoint) (core.Job, error) {
-	pt, err := p.Point()
-	if err != nil {
-		return core.Job{}, err
-	}
-	if err := pt.Validate(); err != nil {
-		return core.Job{}, err
-	}
-	// The typed and internal enums share the paper's spelling, so the
-	// String/Parse round trip is the conversion.
-	kind, err := pdn.ParseKind(pt.PDN.String())
-	if err != nil {
-		return core.Job{}, err
-	}
-	tdp := float64(pt.TDP)
-	if pt.CState != flexwatts.C0 {
-		// Battery-life states (C0MIN and package C2…C8) evaluate the
-		// fig4j/fig8c scenarios; the TDP only steers FlexWatts' predictor.
-		cstate, err := domain.ParseCState(pt.CState.String())
-		if err != nil {
-			return core.Job{}, err
-		}
-		if tdp == 0 {
-			tdp = 4 // battery-life evaluation is TDP-independent (§7.1)
-		}
-		return core.Job{Kind: kind, Scenario: workload.CStateScenario(s.env.Platform, cstate), TDP: tdp}, nil
-	}
-	wt, err := workload.ParseType(pt.Workload.String())
-	if err != nil {
-		return core.Job{}, err
-	}
-	sc, err := workload.TDPScenario(s.env.Platform, tdp, wt, pt.AR)
-	if err != nil {
-		return core.Job{}, err
-	}
-	return core.Job{Kind: kind, Scenario: sc, TDP: tdp}, nil
-}
-
 // decodeBody decodes exactly one JSON value from a size-capped request
 // body into v: unknown fields and anything but whitespace after the value
 // are rejected. On failure it writes the error response — 413 for an
@@ -496,37 +461,18 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, inval
 }
 
 // decodeEvalRequest reads and validates an evaluate request body into
-// jobs — shared by the buffered and streaming endpoints, so the two
-// accept exactly the same points. On failure the error response (uniform
-// api.Error envelope) has been written and ok is false; an invalid point
-// reports the lowest failing index. A body exceeding MaxBodyBytes is shed
-// as api.ErrBatchTooLarge (413), matching the point-count cap it
-// approximates.
+// jobs through the wire codec (codec.go) — shared by the buffered and
+// streaming endpoints, so the two accept exactly the same points. On
+// failure the error response (uniform api.Error envelope) has been written
+// and ok is false. Errors rank as they always have: a malformed body, then
+// an empty batch, then the batch cap (413), then the lowest invalid point
+// index; a body exceeding MaxBodyBytes is shed as api.ErrBatchTooLarge
+// (413), matching the point-count cap it approximates.
 func (s *Server) decodeEvalRequest(w http.ResponseWriter, r *http.Request) (jobs []core.Job, ok bool) {
-	var req api.EvalRequest
-	if !s.decodeBody(w, r, &req, api.ErrInvalidPoint) {
+	jobs, err := s.decodeEval(readBody(w, r, s.opts.MaxBodyBytes))
+	if err != nil {
+		writeErr(w, err)
 		return nil, false
-	}
-	if len(req.Points) == 0 {
-		writeErr(w, fmt.Errorf("%w: request has no points", api.ErrInvalidPoint))
-		return nil, false
-	}
-	if len(req.Points) > s.opts.MaxBatch {
-		writeErr(w, fmt.Errorf("%w: %d points exceeds the %d-point batch cap",
-			api.ErrBatchTooLarge, len(req.Points), s.opts.MaxBatch))
-		return nil, false
-	}
-	jobs = make([]core.Job, len(req.Points))
-	for i, p := range req.Points {
-		job, err := s.buildJob(p)
-		if err != nil {
-			if !errors.Is(err, api.ErrInvalidPoint) {
-				err = fmt.Errorf("%w: %v", api.ErrInvalidPoint, err)
-			}
-			writeErr(w, fmt.Errorf("point %d: %w", i, err))
-			return nil, false
-		}
-		jobs[i] = job
 	}
 	return jobs, true
 }
@@ -602,5 +548,5 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: point %d: %v", api.ErrEvaluation, failedAt, failed))
 		return
 	}
-	writeJSONPooled(w, http.StatusOK, api.EvalResponse{Results: results, Workers: workers})
+	writeEvalResponse(w, results, workers)
 }

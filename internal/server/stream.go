@@ -1,40 +1,17 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/flexwatts/api"
 )
 
-// Streaming write tuning: results are buffered through a bufio.Writer and
-// the chunked response is flushed every flushEvery lines, so a 100k-point
-// stream costs hundreds of flushes, not 100k syscalls, while a client
-// still sees results arrive while the batch runs.
-const (
-	streamBufBytes = 32 << 10
-	flushEvery     = 64
-)
-
-// streamCodec pools the per-stream write stack — the 32 KiB bufio.Writer
-// and the JSON encoder bound to it — so each stream request rebinds a
-// recycled buffer to its connection instead of allocating both. Before a
-// codec returns to the pool its writer is reset onto nil, dropping the
-// connection reference so a pooled codec never pins a finished request's
-// transport.
-type streamCodec struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-}
-
-var streamCodecPool = sync.Pool{New: func() any {
-	c := &streamCodec{bw: bufio.NewWriterSize(nil, streamBufBytes)}
-	c.enc = json.NewEncoder(c.bw)
-	return c
-}}
+// flushEvery is how many result lines /v1/evaluate/stream writes per
+// flush: a 100k-point stream costs hundreds of writes and flushes, not
+// 100k, while a client still sees results arrive while the batch runs.
+const flushEvery = 64
 
 // handleEvaluateStream is POST /v1/evaluate/stream: the same request body
 // as /v1/evaluate, answered as NDJSON — one api.EvalStreamResult per line,
@@ -75,22 +52,33 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 	// connection. SetWriteDeadline reaches the net.Conn through the
 	// statusWriter's Unwrap; on transports without deadlines (tests using
 	// httptest.ResponseRecorder) it reports ErrNotSupported and the stream
-	// simply runs unbounded.
+	// simply runs unbounded, without asking again.
 	rc := http.NewResponseController(w)
+	deadlines := true
 	extend := func() {
-		rc.SetWriteDeadline(time.Now().Add(s.opts.StreamWriteTimeout)) //nolint:errcheck // unsupported transport = no deadline
+		if deadlines && errors.Is(rc.SetWriteDeadline(time.Now().Add(s.opts.StreamWriteTimeout)), http.ErrNotSupported) {
+			deadlines = false
+		}
 	}
 	extend()
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	sc := streamCodecPool.Get().(*streamCodec)
-	sc.bw.Reset(w)
-	bw, enc := sc.bw, sc.enc
-	defer func() {
-		sc.bw.Reset(nil)
-		streamCodecPool.Put(sc)
-	}()
+	// Lines accumulate in a pooled buffer and go out every flushEvery lines.
+	bp := getEvalBuf()
+	buf := *bp
+	defer func() { putEvalBuf(bp, buf) }()
+	flush := func() bool {
+		extend()
+		if _, err := w.Write(buf); err != nil {
+			return false
+		}
+		buf = buf[:0]
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
 
 	s.metrics.inflightSweeps.Add(1)
 	defer s.metrics.inflightSweeps.Add(-1)
@@ -115,29 +103,19 @@ func (s *Server) handleEvaluateStream(w http.ResponseWriter, r *http.Request) {
 			// committed and there is no one left to tell.
 			return
 		}
-		// An encode or flush failure means the client is gone: stop.
+		// An encode or write failure ends the stream: an unencodable
+		// line drops the lines buffered since the last flush, and a
+		// failed write means the client is gone.
 		for i := range hi - lo {
-			if enc.Encode(&lines[i]) != nil {
+			if buf, err = appendStreamLine(buf, &lines[i]); err != nil {
 				return
 			}
 			s.metrics.streamedTotal.Inc()
 			written++
-			if written%flushEvery == 0 {
-				extend()
-				if bw.Flush() != nil {
-					return
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
+			if written%flushEvery == 0 && !flush() {
+				return
 			}
 		}
 	}
-	extend()
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	flush()
 }

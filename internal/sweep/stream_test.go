@@ -160,17 +160,26 @@ func TestStreamCtxCancellation(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestStreamCtxPreCancelled pins that a stream whose ctx is already done
+// emits nothing. A started pool races its token and ready selects against
+// done, so the check loops: one lost race in any iteration fails it.
 func TestStreamCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := StreamCtx(ctx, 4, 0, 100,
-		func(i int) (int, error) { return i, nil },
-		func(i, v int, err error) error {
-			t.Error("emit called on a pre-cancelled stream")
-			return nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	for iter := 0; iter < 20000; iter++ {
+		emitted := false
+		err := StreamCtx(ctx, 4, 0, 100,
+			func(i int) (int, error) { return i, nil },
+			func(i, v int, err error) error {
+				emitted = true
+				return nil
+			})
+		if emitted {
+			t.Fatalf("iteration %d: emit called on a pre-cancelled stream", iter)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("iteration %d: err = %v, want context.Canceled", iter, err)
+		}
 	}
 }
 

@@ -139,10 +139,13 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // backpressures the pool instead of growing a buffer. StreamCtx does not
 // return until every worker goroutine has exited.
 func StreamCtx[T any](ctx context.Context, workers, window, n int, fn func(i int) (T, error), emit func(i int, v T, err error) error) error {
+	// An already-done ctx answers before any worker starts: once workers
+	// run, a select may take a token (and the consumer a ready cell) over
+	// done, so a pre-cancelled stream could still emit.
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
 	if n <= 0 {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
 		return nil
 	}
 	if workers <= 0 {

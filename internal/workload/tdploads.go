@@ -70,7 +70,7 @@ const MinAR = 0.01
 // design tables; voltages come from the platform's V–f curves at the TDP's
 // design frequency.
 func TDPScenario(plat *domain.Platform, tdp units.Watt, t Type, ar float64) (pdn.Scenario, error) {
-	if tdp < tdpAxis[0] || tdp > tdpAxis[len(tdpAxis)-1] {
+	if !(tdp >= tdpAxis[0] && tdp <= tdpAxis[len(tdpAxis)-1]) {
 		return pdn.Scenario{}, fmt.Errorf("workload: TDP %gW outside modeled range [%g, %g]",
 			tdp, tdpAxis[0], tdpAxis[len(tdpAxis)-1])
 	}

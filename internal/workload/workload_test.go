@@ -63,6 +63,9 @@ func TestTDPScenarioBounds(t *testing.T) {
 	if _, err := TDPScenario(plat, 60, MultiThread, 0.6); err == nil {
 		t.Error("TDP above range accepted")
 	}
+	if _, err := TDPScenario(plat, math.NaN(), MultiThread, 0.6); err == nil {
+		t.Error("NaN TDP accepted")
+	}
 	if _, err := TDPScenario(plat, 18, MultiThread, 0); err == nil {
 		t.Error("zero AR accepted")
 	}
